@@ -47,7 +47,6 @@ main(int argc, char **argv)
         spec.config.busPartitions = partitions;
         spec.config.faultPlan = args.faults;
         spec.config.recovery = args.recovery;
-        spec.config.core = args.core;
         args.applyTelemetry(spec.config);
         // The sweep varies partitions at one PE count, so the label
         // is what distinguishes the runs' telemetry lines.

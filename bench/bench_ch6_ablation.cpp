@@ -85,7 +85,6 @@ main(int argc, char **argv)
             spec.pes = pes;
             spec.config.faultPlan = args.faults;
             spec.config.recovery = args.recovery;
-            spec.config.core = args.core;
             args.applyTelemetry(spec.config);
             // The grid varies compile options at one PE count; the
             // variant index distinguishes the telemetry lines.

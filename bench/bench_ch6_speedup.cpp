@@ -97,7 +97,6 @@ main(int argc, char **argv)
     mp::SystemConfig base_config;
     base_config.faultPlan = args.faults;
     base_config.recovery = args.recovery;
-    base_config.core = args.core;
     base_config.hostThreads = args.threads;
     args.applyTelemetry(base_config);
     const sim::RunPolicy policy = args.runPolicy();

@@ -26,14 +26,10 @@
  * `--max-pes N` drops sweep points above N PEs - the sanitizer CI leg
  * uses it to fit the partitioned sweep into its wall-clock budget.
  * `--threads N` runs every simulation of the sweep on N host worker
- * threads (the event core's PDES window scheduler; see
+ * threads (the PDES window scheduler; see
  * SystemConfig::hostThreads). Reports stay byte-identical for any
  * value; the chosen value is recorded as host_threads in the BENCH
  * JSON metadata so speedup tooling can compare like against like.
- * `--core tick|event` selects the simulation core: `event` (default)
- * is the next-event calendar scheduler, `tick` the unit-tick scan it
- * replaced. Both produce byte-identical reports; tick exists for the
- * differential gate and for host-speed comparisons.
  * `--host-time` adds host_wall_ms / sim_cycles_per_sec to the BENCH
  * JSON. Off by default because those fields are machine-dependent and
  * the default document must stay byte-stable.
@@ -90,7 +86,6 @@ struct BenchArgs
     fault::RecoveryPlan recovery{}; ///< Disabled unless --recover given.
     std::string metricsPath;        ///< Empty = no metrics export.
     std::string traceDir;           ///< Empty = no per-run traces.
-    mp::SimCore core = mp::SimCore::Event; ///< --core tick|event.
     bool hostTime = false;          ///< --host-time in BENCH JSON.
     bool topologyGiven = false;     ///< --topology present.
     mp::RingTopology topology{};    ///< Parsed --topology value.
@@ -167,8 +162,8 @@ benchExitCode()
 /**
  * Parse argv for
  * `[--jobs N] [--faults SPEC] [--recover] [--checkpoint-every N]
- *  [--metrics FILE] [--trace-dir DIR] [--core tick|event]
- *  [--topology SPEC] [--max-pes N] [--host-time]`.
+ *  [--metrics FILE] [--trace-dir DIR] [--topology SPEC]
+ *  [--max-pes N] [--host-time]`.
  * On malformed or unknown arguments prints a usage error and returns
  * ok=false.
  */
@@ -203,18 +198,6 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
             args.traceDir = argv[++i];
         } else if (arg == "--recover") {
             args.recovery.enabled = true;
-        } else if (arg == "--core" && i + 1 < argc) {
-            std::string core = argv[++i];
-            if (core == "tick") {
-                args.core = mp::SimCore::Tick;
-            } else if (core == "event") {
-                args.core = mp::SimCore::Event;
-            } else {
-                std::cerr << bench_name << ": --core expects 'tick' or "
-                             "'event', got '" << core << "'\n";
-                args.ok = false;
-                return args;
-            }
         } else if (arg == "--host-time") {
             args.hostTime = true;
         } else if (arg == "--topology" && i + 1 < argc) {
@@ -303,7 +286,7 @@ parseBenchArgs(int argc, char **argv, const char *bench_name)
             std::cerr << "usage: " << bench_name
                       << " [--jobs N] [--faults SPEC] [--recover] "
                          "[--checkpoint-every N] [--metrics FILE] "
-                         "[--trace-dir DIR] [--core tick|event] "
+                         "[--trace-dir DIR] "
                          "[--topology SPEC] [--max-pes N] "
                          "[--threads N] [--host-time] "
                          "[--resume-dir DIR] [--deadline-ms N] "

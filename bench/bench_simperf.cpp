@@ -28,20 +28,22 @@ BM_PeInstructionRate(benchmark::State &state)
         "  minus r17,#1 :r17\n"
         "  bne r17,@loop\n"
         "  fret\n");
+    isa::DecodedProgram decoded(code.words);
     pe::Memory memory(1 << 16);
     pe::NullHost host;
+    std::int64_t total_instructions = 0;
     for (auto _ : state) {
-        pe::ProcessingElement pe(memory, code, host);
+        pe::ProcessingElement pe(memory, decoded, host);
         pe::ContextState ctx;
         ctx.qp = 0x1000;
         ctx.pom = pe::pomForPageWords(64);
         pe.loadContext(ctx);
-        std::uint64_t instructions = 0;
         while (pe.step().status == pe::StepStatus::Executed)
-            ++instructions;
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(instructions));
+            ++total_instructions;
     }
+    // SetItemsProcessed takes the total for the whole run, so the
+    // count accumulates across iterations.
+    state.SetItemsProcessed(total_instructions);
 }
 BENCHMARK(BM_PeInstructionRate)->Unit(benchmark::kMillisecond);
 
@@ -62,27 +64,27 @@ BM_SimulateMatmul(benchmark::State &state)
     occam::CompiledProgram program =
         occam::compileOccam(programs::matmulSource());
     int pes = static_cast<int>(state.range(0));
+    std::int64_t total_instructions = 0;
     for (auto _ : state) {
         mp::SystemConfig config;
         config.numPes = pes;
         mp::System system(program.object, config);
         mp::RunResult result = system.run(program.mainLabel);
-        state.SetItemsProcessed(
-            static_cast<std::int64_t>(result.instructions));
+        total_instructions +=
+            static_cast<std::int64_t>(result.instructions);
     }
+    state.SetItemsProcessed(total_instructions);
 }
 BENCHMARK(BM_SimulateMatmul)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 /**
- * Core-vs-core host speed on the same workload: items processed is the
- * SIMULATED cycle count, so items/sec reads directly as simulated
- * cycles per host second - the number the calendar-queue rework is
- * meant to multiply. The two benchmarks run the identical matmul (the
- * cores are byte-identical in output), differing only in SimCore.
+ * Whole-system host speed: items processed is the SIMULATED cycle
+ * count, so items/sec reads directly as simulated cycles per host
+ * second.
  */
 void
-simCyclesRate(benchmark::State &state, mp::SimCore core)
+BM_SimCyclesEvent(benchmark::State &state)
 {
     occam::CompiledProgram program =
         occam::compileOccam(programs::matmulSource());
@@ -91,29 +93,11 @@ simCyclesRate(benchmark::State &state, mp::SimCore core)
     for (auto _ : state) {
         mp::SystemConfig config;
         config.numPes = pes;
-        config.core = core;
         mp::System system(program.object, config);
         mp::RunResult result = system.run(program.mainLabel);
         total_cycles += static_cast<std::int64_t>(result.cycles);
     }
-    // Accumulated across iterations: SetItemsProcessed is the total
-    // for the whole run, so per-iteration counts would divide away
-    // the very speedup this benchmark exists to show.
     state.SetItemsProcessed(total_cycles);
-}
-
-void
-BM_SimCyclesTick(benchmark::State &state)
-{
-    simCyclesRate(state, mp::SimCore::Tick);
-}
-BENCHMARK(BM_SimCyclesTick)->Arg(1)->Arg(8)->Unit(
-    benchmark::kMillisecond);
-
-void
-BM_SimCyclesEvent(benchmark::State &state)
-{
-    simCyclesRate(state, mp::SimCore::Event);
 }
 BENCHMARK(BM_SimCyclesEvent)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);

@@ -47,7 +47,7 @@
  * --telemetry streams periodic qm.telemetry.v1 NDJSON snapshots of
  * the statistics registry mid-run, one line every --telemetry-every
  * simulated cycles (default 1000); the stream is cycle-deterministic
- * (byte-identical across --threads and both simulation cores).
+ * (byte-identical across --threads).
  *
  * Exit codes are structured per failure class:
  *   0  success

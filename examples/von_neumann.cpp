@@ -67,7 +67,8 @@ main()
         qm::isa::ObjectCode code = qm::isa::assemble(source);
         qm::pe::Memory memory(1 << 16);
         qm::pe::NullHost host;
-        qm::pe::ProcessingElement pe(memory, code, host);
+        qm::isa::DecodedProgram decoded(code.words);
+        qm::pe::ProcessingElement pe(memory, decoded, host);
 
         qm::pe::ContextState ctx;
         ctx.qp = 0x1000;
@@ -82,6 +83,7 @@ main()
                 break;
         }
 
+        pe.flushStats();
         std::cout << "fib table:";
         for (int i = 0; i < 10; ++i)
             std::cout << " " << memory.readWord(0x2000 +

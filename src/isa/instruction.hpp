@@ -97,12 +97,11 @@ struct DecodedOp
 
 /**
  * Lazily-built decode cache over one object-code image: a per-PC index
- * into an arena of DecodedOp entries. The event-driven core decodes
- * each instruction once, on first execution, and replays the cached
- * form on every later visit - the tick core re-decodes every step, and
- * the two must stay observationally identical, so decoding stays lazy
- * (a program whose cold path holds a truncated or garbage instruction
- * panics at the same execution point in both cores, not at load time).
+ * into an arena of DecodedOp entries. The PE decodes each instruction
+ * once, on first execution, and replays the cached form on every later
+ * visit. Decoding stays lazy so a program whose cold path holds a
+ * truncated or garbage instruction panics at the execution point that
+ * reaches it, not at load time.
  *
  * Shared by every PE of a System: the instruction space is pure code.
  * Thread-safe: PEs stepped concurrently by the PDES windows race only
@@ -117,9 +116,9 @@ class DecodedProgram
 
     /**
      * The decoded instruction at @p pc (decoding and caching it on
-     * first visit). Panics exactly like the interpreter on an
-     * out-of-bounds PC or a truncated instruction. The returned
-     * reference stays valid for the lifetime of this object.
+     * first visit). Panics on an out-of-bounds PC or a truncated
+     * instruction. The returned reference stays valid for the
+     * lifetime of this object.
      */
     const DecodedOp &at(Word pc);
 

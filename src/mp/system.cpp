@@ -101,13 +101,14 @@ struct System::PeSlot
     bool dead = false;
 
     /**
-     * Time of this slot's live calendar entry (-1 = none). The event
-     * core keeps exactly one live entry per slot: a new registration
-     * only enters the heap when it improves on calAt, and a surfacing
-     * entry whose time differs from calAt is a superseded duplicate,
-     * dropped unexamined. Without this discipline every context wake
-     * would grow the heap and every stale entry would be re-corrected
-     * each scheduling round - quadratic churn on wake-heavy runs.
+     * Time of this slot's live calendar entry (-1 = none). The
+     * scheduler keeps exactly one live entry per slot: a new
+     * registration only enters the heap when it improves on calAt, and
+     * a surfacing entry whose time differs from calAt is a superseded
+     * duplicate, dropped unexamined. Without this discipline every
+     * context wake would grow the heap and every stale entry would be
+     * re-corrected each scheduling round - quadratic churn on
+     * wake-heavy runs.
      */
     Cycle calAt = -1;
 
@@ -194,6 +195,12 @@ struct System::Checkpoint
     msg::MessageCache::Snapshot cache;
     RingBus::Snapshot bus;
     trace::Tracer::Mark trace;
+    /**
+     * Fault-injector streams at the snapshot (with a fault plan). The
+     * durable file must pair the snapshot with these, not with the
+     * streams the run has drawn since.
+     */
+    fault::FaultInjector::PersistState faults;
 
     struct SlotState
     {
@@ -210,10 +217,8 @@ struct System::Checkpoint
 
 System::System(const isa::ObjectCode &code, SystemConfig config)
     : code_(code), config_(config),
-      memory_(std::make_unique<pe::Memory>(
-          config.memoryBytes, config.core == SimCore::Event
-                                  ? pe::Memory::Alloc::Lazy
-                                  : pe::Memory::Alloc::Eager)),
+      memory_(std::make_unique<pe::Memory>(config.memoryBytes)),
+      decoded_(std::make_unique<isa::DecodedProgram>(code_.words)),
       bus(config.busConfig()), cache(config.channelDepth),
       tracer_(config.traceConfig)
 {
@@ -225,9 +230,6 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
         shardRr_.assign(static_cast<size_t>(numShards()), 0);
         shardCtxLive_.assign(static_cast<size_t>(numShards()), 0);
     }
-
-    if (config_.core == SimCore::Event)
-        decoded_ = std::make_unique<isa::DecodedProgram>(code_.words);
 
     if (config_.faultPlan.enabled())
         faults_ = std::make_unique<fault::FaultInjector>(
@@ -255,22 +257,21 @@ System::System(const isa::ObjectCode &code, SystemConfig config)
         slot->undoLog.cap = config_.recovery.maxUndoWords;
         slot->host = std::make_unique<HostAdapter>(*this, i);
         slot->pe = std::make_unique<pe::ProcessingElement>(
-            *memory_, code_, *slot->host, config_.peTiming);
+            *memory_, *decoded_, *slot->host, config_.peTiming);
         slot->pe->attachTrace(&tracer_, i, &slot->clock);
         slot->pe->setFaultInjector(faults_.get());
-        slot->pe->setDecoded(decoded_.get());
         slots.push_back(std::move(slot));
     }
 
-    // PDES wiring (--threads): the windowed scheduler only exists for
-    // the event core, needs more than one PE to share work, and needs
-    // a positive bus lookahead (minCrossLatency) to form windows at
-    // all. Ownership is a fixed partition of the PEs over the workers,
-    // aligned to ring seams when the topology is hierarchical so a
-    // worker's slots share their kernel shard.
+    // PDES wiring (--threads): the windowed scheduler needs more than
+    // one PE to share work, and a positive bus lookahead
+    // (minCrossLatency) to form windows at all. Ownership is a fixed
+    // partition of the PEs over the workers, aligned to ring seams
+    // when the topology is hierarchical so a worker's slots share
+    // their kernel shard.
     config_.hostThreads =
         std::max(1, std::min(config_.hostThreads, config_.numPes));
-    if (config_.core == SimCore::Event && config_.hostThreads > 1) {
+    if (config_.hostThreads > 1) {
         lookahead_ = bus.minCrossLatency();
         int workers = config_.hostThreads;
         partitions_.assign(static_cast<size_t>(workers), {});
@@ -350,7 +351,7 @@ System::pushReady(PeSlot &slot, Cycle readyAt, CtxId ctx)
     slot.readyQ.push({readyAt, ctx});
     // The windowed loop selects by direct scan, not the calendar;
     // registering wakes there would only grow the heap unboundedly.
-    if (config_.core == SimCore::Event && !threadedRun_)
+    if (!threadedRun_)
         // Register the wake as a lower bound. max() with the slot's
         // clock saves one validation round-trip when the entry is
         // already in the past; any remaining staleness (another queued
@@ -979,8 +980,6 @@ System::runLoop(Cycle max_cycles)
     // The host deadline budget covers one loop entry (run or resume).
     runStart_ = std::chrono::steady_clock::now();
     hostGuardTick_ = 0;
-    if (config_.core != SimCore::Event)
-        return runLoopTick(max_cycles);
     // The windowed loop needs a positive lookahead to form windows,
     // and falls back to the sequential loop under fault injection:
     // faults can surface mid-batch failures (corruption, stalls) whose
@@ -992,7 +991,7 @@ System::runLoop(Cycle max_cycles)
 }
 
 RunResult
-System::runLoopTick(Cycle max_cycles)
+System::runLoopEvent(Cycle max_cycles)
 {
     RunResult result;
     // Watchdog bound: explicit, or 1M cycles automatically when fault
@@ -1002,22 +1001,58 @@ System::runLoopTick(Cycle max_cycles)
         config_.watchdogCycles > 0 ? config_.watchdogCycles
         : faults_                  ? 1'000'000
                                    : 0;
+    // (Re)build the calendar from scratch: one entry per schedulable
+    // slot. run() enters here after boot pushes, resume() after a
+    // restore() reassigned every ready queue; leftovers from an
+    // earlier loop invocation are meaningless either way.
+    calendar_ = {};
+    for (auto &slot : slots) {
+        slot->calAt = -1;
+        if (auto t = slot->nextTime())
+            calSchedule(*slot, *t);
+    }
     while (liveContexts > 0) {
         if (!pendingFailure_.empty())
             return failRun(pendingFailure_, /*watchdog=*/false);
         if (std::string why; hostAbortDue(why))
             return abortRun(why);
-        // Pick the PE able to act soonest.
+        // Validated peek: drop entries whose slot is no longer
+        // schedulable, correct entries whose wake time moved, and stop
+        // at the first entry matching its slot's current nextTime().
+        // Every entry is a lower bound on its slot's wake (pushReady),
+        // so the first match IS the global minimum, and the (cycle,
+        // index) heap order picks the lowest PE index among ties.
         PeSlot *best = nullptr;
         Cycle best_time = 0;
-        for (auto &slot : slots) {
-            auto t = slot->nextTime();
-            if (t && (!best || *t < best_time)) {
-                best = slot.get();
-                best_time = *t;
+        while (!calendar_.empty()) {
+            CalEntry top = calendar_.top();
+            PeSlot &cand = *slots[static_cast<size_t>(top.pe)];
+            if (top.at != cand.calAt) {
+                // Superseded duplicate: a lower registration (or an
+                // act) replaced this entry while it was buried.
+                calendar_.pop();
+                continue;
             }
+            auto t = cand.nextTime();
+            if (!t) {
+                calendar_.pop();
+                cand.calAt = -1;
+                continue;
+            }
+            if (*t != top.at) {
+                calendar_.pop();
+                cand.calAt = -1;
+                calSchedule(cand, *t);
+                continue;
+            }
+            best = &cand;
+            best_time = top.at;
+            break;
         }
-        // Planned fail-stop: fires once simulated time reaches killAt.
+        // Guards that `continue` leave the validated top in place; it
+        // is re-validated (and survives or is corrected) next
+        // iteration. Planned fail-stop: fires once simulated time
+        // reaches killAt.
         if (killArmed_ && best &&
             best_time >= config_.faultPlan.killAt) {
             injectPeKill(config_.faultPlan.killAt);
@@ -1050,9 +1085,8 @@ System::runLoopTick(Cycle max_cycles)
                   " live contexts, none runnable\n", dumpState());
         }
         if (best_time > max_cycles) {
-            // Timed out: report everything the run did do (the old
-            // path returned zeroed statistics, hiding all progress).
-            // Not replayable: a replay would only re-spend the budget.
+            // Timed out: report everything the run did do. Not
+            // replayable: a replay would only re-spend the budget.
             result.completed = false;
             result.failureReason =
                 cat("cycle limit reached (", max_cycles, ")");
@@ -1100,198 +1134,6 @@ System::runLoopTick(Cycle max_cycles)
             pendingDeadPe_ < 0 && !replay_in_flight)
             emitTelemetry(best_time);
 
-        PeSlot &slot = *best;
-        if (!dispatch(slot))
-            continue;
-        if (recoveryOn_)
-            // Journal this span's memory stores for rollback.
-            memory_->setUndoLog(&slot.undoLog);
-
-        // Run the context until it blocks, finishes, or a small batch
-        // elapses (keeps PE clocks loosely synchronized).
-        for (int batch = 0; batch < 16; ++batch) {
-            Cycle before = slot.clock;
-            StepResult step = slot.pe->step();
-            slot.clock += step.cycles;
-            slot.busyCycles += slot.clock - before;
-            if (step.status != StepStatus::Blocked)
-                lastProgress_ = std::max(lastProgress_, slot.clock);
-            if (step.status == StepStatus::Executed) {
-                // Stop as soon as this PE crosses the cycle budget
-                // instead of finishing the batch: the overshoot is
-                // bounded by one instruction, not 16. The outer loop
-                // observes the exhausted clock and times out once no
-                // PE below the budget can act.
-                if (slot.clock > max_cycles)
-                    break;
-                continue;
-            }
-            if (step.status == StepStatus::ContextEnd) {
-                slot.clock += config_.exitCycles;
-                slot.switchCycles += config_.exitCycles;
-                finishContext(slot);
-            } else if (step.status == StepStatus::Blocked) {
-                if (slot.blockUntil) {
-                    Context &ctx = contexts[slot.running];
-                    ctx.readyAt = *slot.blockUntil;
-                    CtxId id = slot.running;
-                    park(slot, CtxStatus::BlockedTime);
-                    contexts[id].status = CtxStatus::Ready;
-                    pushReady(slot, contexts[id].readyAt, id);
-                    slot.blockUntil.reset();
-                } else if (slot.readyQ.empty()) {
-                    // Nothing else to run: stay resident (lazy switch).
-                    Context &ctx = contexts[slot.running];
-                    ctx.status = CtxStatus::BlockedChannel;
-                    recordResidency(slot);
-                    tracer_.peBusy(slot.spanStart, slot.clock,
-                                   slot.index, ctx.id);
-                    tracer_.ctxPark(slot.clock, slot.index, ctx.id,
-                                    trace::ParkReason::Resident);
-                    slot.residentBlocked = slot.running;
-                    slot.running = msg::kNoCtx;
-                } else {
-                    park(slot, CtxStatus::BlockedChannel);
-                }
-            } else {
-                panic("fret/rett executed inside a kernel-managed "
-                      "context");
-            }
-            break;
-        }
-        if (recoveryOn_)
-            memory_->setUndoLog(nullptr);
-    }
-
-    result.completed = true;
-    replayable_ = false;
-    finalizeRun(result);
-    return result;
-}
-
-RunResult
-System::runLoopEvent(Cycle max_cycles)
-{
-    RunResult result;
-    const Cycle watchdog =
-        config_.watchdogCycles > 0 ? config_.watchdogCycles
-        : faults_                  ? 1'000'000
-                                   : 0;
-    // (Re)build the calendar from scratch: one entry per schedulable
-    // slot. run() enters here after boot pushes, resume() after a
-    // restore() reassigned every ready queue; leftovers from an
-    // earlier loop invocation are meaningless either way.
-    calendar_ = {};
-    for (auto &slot : slots) {
-        slot->calAt = -1;
-        if (auto t = slot->nextTime())
-            calSchedule(*slot, *t);
-    }
-    while (liveContexts > 0) {
-        if (!pendingFailure_.empty())
-            return failRun(pendingFailure_, /*watchdog=*/false);
-        if (std::string why; hostAbortDue(why))
-            return abortRun(why);
-        // Validated peek: drop entries whose slot is no longer
-        // schedulable, correct entries whose wake time moved, and stop
-        // at the first entry matching its slot's current nextTime().
-        // Every entry is a lower bound on its slot's wake (pushReady),
-        // so the first match IS the global minimum, and the (cycle,
-        // index) heap order picks the lowest PE index among ties -
-        // decision-for-decision what the tick core's scan returns.
-        PeSlot *best = nullptr;
-        Cycle best_time = 0;
-        while (!calendar_.empty()) {
-            CalEntry top = calendar_.top();
-            PeSlot &cand = *slots[static_cast<size_t>(top.pe)];
-            if (top.at != cand.calAt) {
-                // Superseded duplicate: a lower registration (or an
-                // act) replaced this entry while it was buried.
-                calendar_.pop();
-                continue;
-            }
-            auto t = cand.nextTime();
-            if (!t) {
-                calendar_.pop();
-                cand.calAt = -1;
-                continue;
-            }
-            if (*t != top.at) {
-                calendar_.pop();
-                cand.calAt = -1;
-                calSchedule(cand, *t);
-                continue;
-            }
-            best = &cand;
-            best_time = top.at;
-            break;
-        }
-        // The guard sequence below must stay in lock-step with
-        // runLoopTick: same conditions, same order, same exits. Guards
-        // that `continue` leave the validated top in place; it is
-        // re-validated (and survives or is corrected) next iteration.
-        if (killArmed_ && best &&
-            best_time >= config_.faultPlan.killAt) {
-            injectPeKill(config_.faultPlan.killAt);
-            continue;
-        }
-        if (pendingDeadPe_ >= 0 && recoveryOn_ &&
-            (!best || best_time >= deadDetectAt_)) {
-            recoverDeadPe(deadDetectAt_);
-            continue;
-        }
-        if (!best) {
-            if (faults_) {
-                if (traceEnabled())
-                    std::cerr << dumpState();
-                return failRun(
-                    cat("deadlock: ", liveContexts,
-                        " live contexts, none runnable (message lost "
-                        "beyond the retry bound?)"),
-                    /*watchdog=*/true);
-            }
-            fatal("deadlock: ", liveContexts,
-                  " live contexts, none runnable\n", dumpState());
-        }
-        if (best_time > max_cycles) {
-            result.completed = false;
-            result.failureReason =
-                cat("cycle limit reached (", max_cycles, ")");
-            replayable_ = false;
-            finalizeRun(result);
-            if (!config_.flightPath.empty())
-                writeFlightDump(config_.flightPath,
-                                result.failureReason);
-            return result;
-        }
-        if (watchdog > 0 && best_time - lastProgress_ > watchdog)
-            return failRun(
-                cat("watchdog: no instruction retired in ", watchdog,
-                    " cycles (last progress at cycle ", lastProgress_,
-                    ")"),
-                /*watchdog=*/true);
-        bool replay_in_flight = false;
-        for (auto &slot : slots)
-            if (slot->replaying())
-                replay_in_flight = true;
-        if (nextCheckpointAt_ > 0 && best_time >= nextCheckpointAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight) {
-            // Advance the schedule *before* capturing: the snapshot
-            // then carries the next boundary, so a run warm-started
-            // from it (durable resume or checkpoint replay) continues
-            // to the next checkpoint instead of immediately
-            // re-snapshotting the boundary it was saved at.
-            while (nextCheckpointAt_ <= best_time)
-                nextCheckpointAt_ += config_.recovery.checkpointEvery;
-            snapshot();
-            continue;
-        }
-        // Telemetry boundary (after checkpoints, exactly as in
-        // runLoopTick; observational, so no continue).
-        if (nextTelemetryAt_ > 0 && best_time >= nextTelemetryAt_ &&
-            pendingDeadPe_ < 0 && !replay_in_flight)
-            emitTelemetry(best_time);
-
         // Acting on the slot: consume its validated entry now and
         // re-register its next wake (if any) after the batch.
         PeSlot &slot = *best;
@@ -1321,12 +1163,16 @@ System::runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step)
 
     for (int batch = first_step; batch < 16; ++batch) {
         Cycle before = slot.clock;
-        StepResult step = slot.pe->stepFast();
+        StepResult step = slot.pe->step();
         slot.clock += step.cycles;
         slot.busyCycles += slot.clock - before;
         if (step.status != StepStatus::Blocked)
             lastProgress_ = std::max(lastProgress_, slot.clock);
         if (step.status == StepStatus::Executed) {
+            // Stop as soon as this PE crosses the cycle budget instead
+            // of finishing the batch: the overshoot is bounded by one
+            // instruction, not 16. The loop observes the exhausted
+            // clock and times out once no PE below the budget can act.
             if (slot.clock > max_cycles)
                 break;
             continue;
@@ -1345,6 +1191,7 @@ System::runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step)
                 pushReady(slot, contexts[id].readyAt, id);
                 slot.blockUntil.reset();
             } else if (slot.readyQ.empty()) {
+                // Nothing else to run: stay resident (lazy switch).
                 Context &ctx = contexts[slot.running];
                 ctx.status = CtxStatus::BlockedChannel;
                 recordResidency(slot);
@@ -1501,7 +1348,7 @@ System::specSlot(PeSlot &slot, Cycle window_end, Cycle spec_horizon,
             Cycle before = slot.clock;
             StepResult step;
             try {
-                step = slot.pe->stepFast();
+                step = slot.pe->step();
             } catch (...) {
                 // Replayed at this record's drain position, so the
                 // diagnostic surfaces in sequential order.
@@ -1960,9 +1807,10 @@ System::snapshot()
     cp->cache = cache.snapshot();
     cp->bus = bus.snapshot();
     cp->trace = tracer_.mark();
+    if (faults_)
+        cp->faults = faults_->persistState();
     for (auto &slot : slots) {
-        // Event core: fold pending stepFast tallies in before the
-        // capture (no-op on the tick core, whose deltas stay zero).
+        // Fold pending step() tallies in before the capture.
         slot->pe->flushStats();
         cp->slotStates.push_back({slot->clock, slot->busyCycles,
                                   slot->kernelCycles,
@@ -2218,7 +2066,7 @@ System::saveCheckpoint(const std::string &path) const
         persist::Encoder enc;
         enc.u8(faults_ ? 1 : 0);
         if (faults_) {
-            fault::FaultInjector::PersistState s = faults_->persistState();
+            const fault::FaultInjector::PersistState &s = cp.faults;
             for (std::uint64_t v : s.streams)
                 enc.u64(v);
             enc.u64(s.payload);
@@ -2493,6 +2341,7 @@ System::loadCheckpoint(const std::string &path)
     // Commit: everything decoded and validated; no failure paths below.
     if (faults_)
         faults_->restorePersistState(fstate);
+    cp->faults = fstate;
     tracer_.restoreStream(std::move(ts.events), ts.dropped, ts.kindCounts);
     cp->trace = tracer_.mark();
     checkpoint_ = std::move(cp);
@@ -2519,8 +2368,8 @@ System::finalizeRun(RunResult &result)
     std::uint64_t instructions = 0;
     Cycle busy_total = 0, kernel_total = 0, switch_total = 0;
     for (auto &slot : slots) {
-        // Event core: the per-PE registries are read (and merged)
-        // below, so fold pending stepFast tallies in first.
+        // The per-PE registries are read (and merged) below, so fold
+        // pending step() tallies in first.
         slot->pe->flushStats();
         finish = std::max(finish, slot->clock);
         instructions += slot->pe->stats().counter("pe.instructions");
@@ -2696,7 +2545,7 @@ System::statsSnapshot()
     // Same folding order as finalizeRun, applied to a copy: global
     // registry, then each PE's aggregate + scoped view + cycle
     // breakdown scalars, then the cache and bus registries. Flushing
-    // the event core's pending plain-counter deltas mutates only the
+    // the PEs' pending plain-counter deltas mutates only the
     // per-PE registries they were always destined for (snapshot() and
     // finalizeRun() flush at the same points), so the run's own
     // output is unchanged.

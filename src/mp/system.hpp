@@ -58,31 +58,6 @@ enum class Placement
     Local,       ///< Always on the forking PE (degenerate baseline).
 };
 
-/**
- * Simulation inner-loop implementation (see DESIGN.md "Event-driven
- * simulation core"). Both cores produce byte-identical RunResult,
- * statistics, metrics, and trace output - the differential test suite
- * holds them to it across the fuzz/fault/recovery corpora.
- */
-enum class SimCore
-{
-    /**
-     * The historical loop: every iteration linearly scans all PE slots
-     * for the lowest-clock schedulable one. Kept verbatim (including
-     * its eagerly-zeroed memory and per-step instruction decode) as
-     * the reference implementation and the host-performance baseline.
-     */
-    Tick,
-    /**
-     * Next-event calendar queue: each slot registers its next wake
-     * cycle in a min-heap keyed by (cycle, PE index) and the scheduler
-     * jumps straight to the earliest one, with a predecoded-instruction
-     * arena, plain-counter statistics, and lazily-zeroed memory on the
-     * hot path. The default.
-     */
-    Event,
-};
-
 /** Memory map constants shared with the compiler. */
 constexpr Addr kQueuePagePool = 0x0000'1000;  ///< Up to ~6 MB of pages.
 constexpr Addr kDataBase = 0x0060'0000;       ///< Compiler data segment.
@@ -109,16 +84,14 @@ struct SystemConfig
     int maxLiveContexts = 2048;  ///< Queue-page pool size.
     int channelDepth = 8;        ///< Message-cache tokens per channel.
     Placement placement = Placement::LeastLoaded;
-    SimCore core = SimCore::Event;  ///< Inner-loop implementation.
 
     /**
-     * Host worker threads for one run (--threads): the event core
+     * Host worker threads for one run (--threads): the simulator
      * advances PEs in bounded synchronous windows (lookahead = minimum
      * unloaded ring-bus latency) and speculates the pure compute
      * portion of each window's batches across this many threads,
-     * byte-identical to the sequential core on every surface for any
-     * value. 1 = the plain sequential event loop. Ignored by the tick
-     * reference core (which stays serial), and capped at numPes.
+     * byte-identical to the sequential loop on every surface for any
+     * value. 1 = the plain sequential event loop. Capped at numPes.
      */
     int hostThreads = 1;
 
@@ -204,7 +177,7 @@ struct SystemConfig
      * Emit a telemetry snapshot every N simulated cycles (0 = off).
      * Snapshots fire at deterministic cycle boundaries evaluated at
      * the same guard points as periodic checkpoints, so the stream is
-     * byte-identical across cores, --threads, and --jobs. Host-side
+     * byte-identical across --threads and --jobs. Host-side
      * only: excluded from the checkpoint fingerprint; an interrupted
      * stream re-aligns to the next boundary after the resume point.
      */
@@ -218,7 +191,7 @@ struct SystemConfig
  * Deterministic textual digest of every simulation-relevant field of
  * @p config: machine shape, kernel costs, timing, fault/recovery
  * plans, and trace enablement. Host-side choices that are byte-inert
- * by invariant (SimCore, hostThreads, hostDeadlineMs) are deliberately
+ * by invariant (hostThreads, hostDeadlineMs) are deliberately
  * excluded. System::configFingerprint() extends this with a CRC of
  * the loaded object code; the sweep journal combines it with per-spec
  * program/verification digests.
@@ -427,9 +400,9 @@ class System
      * checkpoint to be resumable on this system: machine shape,
      * kernel costs, timing, fault/recovery plans, trace enablement,
      * and a CRC of the object code. Host-side choices that are
-     * byte-inert by invariant (SimCore, hostThreads, deadline) are
-     * deliberately excluded, so a checkpoint saved under --core tick
-     * resumes under --core event --threads 4 and vice versa.
+     * byte-inert by invariant (hostThreads, deadline) are
+     * deliberately excluded, so a checkpoint saved under --threads 1
+     * resumes under --threads 4 and vice versa.
      */
     std::string configFingerprint() const;
 
@@ -531,11 +504,12 @@ class System
     void commitSpan(PeSlot &slot);
 
     /**
-     * Enqueue @p ctx on @p slot's ready queue and, on the event core,
-     * register the slot's wake in the calendar. Every ready-queue push
-     * must go through here (or be followed by an explicit calendar
-     * re-registration): the calendar invariant is that whenever a slot
-     * has a nextTime(), at least one calendar entry is <= it.
+     * Enqueue @p ctx on @p slot's ready queue and, outside the
+     * windowed loop, register the slot's wake in the calendar. Every
+     * ready-queue push must go through here (or be followed by an
+     * explicit calendar re-registration): the calendar invariant is
+     * that whenever a slot has a nextTime(), at least one calendar
+     * entry is <= it.
      */
     void pushReady(PeSlot &slot, Cycle readyAt, CtxId ctx);
 
@@ -549,10 +523,8 @@ class System
     void calSchedule(PeSlot &slot, Cycle at);
 
     // --- Recovery (see DESIGN.md "Recoverable execution") ---------------
-    /** Dispatches on config_.core (shared by run() and resume()). */
+    /** Picks the run loop (shared by run() and resume()). */
     RunResult runLoop(Cycle max_cycles);
-    /** The historical scan-all-slots loop, kept verbatim. */
-    RunResult runLoopTick(Cycle max_cycles);
     /** The calendar-queue loop (see DESIGN.md). */
     RunResult runLoopEvent(Cycle max_cycles);
 
@@ -661,6 +633,8 @@ class System
     const isa::ObjectCode &code_;
     SystemConfig config_;
     std::unique_ptr<pe::Memory> memory_;
+    /** Lazy decode cache shared by every PE. */
+    std::unique_ptr<isa::DecodedProgram> decoded_;
     RingBus bus;
     msg::MessageCache cache;
     /** Present exactly when config_.faultPlan is enabled. */
@@ -671,13 +645,12 @@ class System
     std::vector<std::unique_ptr<PeSlot>> slots;
 
     /**
-     * Event-core calendar: lower-bound wake registrations, one or more
+     * Scheduler calendar: lower-bound wake registrations, one or more
      * per schedulable slot. Entries are never eagerly removed when a
      * slot's wake time moves; the scheduler validates the top against
      * the slot's current nextTime() and corrects or drops stale
      * entries as they surface (a lazy min-heap). Ordered by (cycle,
-     * PE index) so ties resolve to the lowest index, exactly like the
-     * tick core's linear scan.
+     * PE index) so ties resolve to the lowest index.
      */
     struct CalEntry
     {
@@ -692,8 +665,6 @@ class System
     };
     std::priority_queue<CalEntry, std::vector<CalEntry>, std::greater<>>
         calendar_;
-    /** Shared lazy decode cache (event core only). */
-    std::unique_ptr<isa::DecodedProgram> decoded_;
 
     std::vector<Context> contexts;
     std::vector<Addr> freePages;
@@ -715,8 +686,8 @@ class System
     std::uint64_t liveContexts = 0;
     std::uint64_t switches = 0;
 
-    // PDES state (inert unless config_.hostThreads > 1 on the event
-    // core; see DESIGN.md "Deterministic intra-run parallelism").
+    // PDES state (inert unless config_.hostThreads > 1; see DESIGN.md
+    // "Deterministic intra-run parallelism").
     Cycle lookahead_ = 0;   ///< bus.minCrossLatency(), cached at init.
     bool threadedRun_ = false;  ///< Inside runLoopThreaded (skips the
                                 ///< calendar bookkeeping in pushReady).

@@ -8,17 +8,13 @@ namespace qm::pe {
 
 thread_local UndoLog *Memory::undo_ = nullptr;
 
-Memory::Memory(std::size_t bytes, Alloc alloc) : size_(bytes)
+Memory::Memory(std::size_t bytes)
+    : store_(static_cast<std::uint8_t *>(std::calloc(bytes, 1))),
+      size_(bytes)
 {
-    if (alloc == Alloc::Eager) {
-        bytes_.assign(bytes, 0);
-        data_ = bytes_.data();
-    } else {
-        lazy_.reset(static_cast<std::uint8_t *>(std::calloc(bytes, 1)));
-        fatalIf(bytes > 0 && !lazy_,
-                "memory allocation of ", bytes, " bytes failed");
-        data_ = lazy_.get();
-    }
+    fatalIf(bytes > 0 && !store_,
+            "memory allocation of ", bytes, " bytes failed");
+    data_ = store_.get();
 }
 
 void

@@ -69,20 +69,11 @@ class Memory
 {
   public:
     /**
-     * Backing-store strategy. Eager value-initializes the whole store
-     * up front (a 32 MB memset per System - the historical behavior,
-     * kept for the tick core so its host cost stays the reference
-     * point). Lazy calloc()s instead, so untouched pages stay as
-     * kernel zero-pages and construction is near-free; both read as
-     * all-zeroes and are observationally identical.
+     * The store is calloc()ed, so untouched pages stay as kernel
+     * zero-pages and construction is near-free; it reads as
+     * all-zeroes.
      */
-    enum class Alloc
-    {
-        Eager,
-        Lazy,
-    };
-
-    explicit Memory(std::size_t bytes, Alloc alloc = Alloc::Eager);
+    explicit Memory(std::size_t bytes);
 
     std::size_t size() const { return size_; }
 
@@ -121,9 +112,8 @@ class Memory
 
     void checkWord(Addr addr) const;
 
-    std::vector<std::uint8_t> bytes_;  ///< Eager backing store.
-    std::unique_ptr<std::uint8_t[], FreeDeleter> lazy_;  ///< Lazy store.
-    std::uint8_t *data_ = nullptr;  ///< Whichever store is active.
+    std::unique_ptr<std::uint8_t[], FreeDeleter> store_;
+    std::uint8_t *data_ = nullptr;  ///< store_.get(), cached.
     std::size_t size_ = 0;
     /** Per-thread undo attachment (see setUndoLog). */
     static thread_local UndoLog *undo_;

@@ -53,9 +53,9 @@ pageWordsForPom(Word pom)
 }
 
 ProcessingElement::ProcessingElement(Memory &memory,
-                                     const isa::ObjectCode &code,
+                                     isa::DecodedProgram &decoded,
                                      PeHost &host, PeTiming timing)
-    : memory_(memory), code_(code), host_(&host), timing_(timing)
+    : memory_(memory), decoded_(decoded), host_(&host), timing_(timing)
 {
     globals_[RegPom - 16] = pomForPageWords(64);
     pom_ = globals_[RegPom - 16];
@@ -142,31 +142,6 @@ ProcessingElement::bumpQp(int inc)
 }
 
 Word
-ProcessingElement::readSrc(const Src &src, long &cycles)
-{
-    switch (src.kind) {
-      case SrcKind::None:
-        return 0;
-      case SrcKind::WindowReg: {
-        int phys = physicalIndex(src.reg);
-        if (presence_[static_cast<size_t>(phys)]) {
-            stats_.inc("pe.window_hits");
-            return window_[static_cast<size_t>(phys)];
-        }
-        stats_.inc("pe.window_misses");
-        cycles += timing_.memoryCycles;
-        return memory_.readWord(windowAddress(src.reg));
-      }
-      case SrcKind::GlobalReg:
-        return readReg(src.reg);
-      case SrcKind::SmallImm:
-      case SrcKind::ImmWord:
-        return static_cast<Word>(src.imm);
-    }
-    panic("unreachable src kind");
-}
-
-Word
 ProcessingElement::readReg(int reg)
 {
     panicIf(reg < 0 || reg > 31, "register out of range: ", reg);
@@ -241,7 +216,8 @@ ProcessingElement::aluResult(Opcode op, Word a, Word b)
         return static_cast<Word>(sa >> (b & 31));  // arithmetic shift
       case Opcode::Plus: return a + b;
       case Opcode::Minus: return a - b;
-      case Opcode::Mul: return static_cast<Word>(sa * sb);
+      case Opcode::Mul:
+        return a * b;  // low 32 bits, identical for signed operands
       case Opcode::Div:
         fatalIf(sb == 0, "division by zero");
         return static_cast<Word>(sa / sb);
@@ -263,199 +239,8 @@ ProcessingElement::aluResult(Opcode op, Word a, Word b)
     }
 }
 
-StepResult
-ProcessingElement::step()
-{
-    if (faults_ && faults_->fire(fault::kPeStall)) {
-        // Transient stall: cycles pass, no instruction retires, no
-        // architectural state changes. The next step() re-attempts the
-        // same instruction.
-        long stall = static_cast<long>(faults_->stallCycles());
-        stats_.inc("fault.pe_stall");
-        stats_.inc("fault.pe_stall_cycles",
-                   static_cast<std::uint64_t>(stall));
-        stats_.record("fault.stall",
-                      static_cast<std::uint64_t>(stall));
-        if (tracer_)
-            tracer_->faultInject(clock_ ? *clock_ : 0, peIndex_,
-                                 fault::kPeStall,
-                                 static_cast<std::uint64_t>(stall));
-        StepResult stalled;
-        stalled.cycles = stall;
-        return stalled;
-    }
-    panicIf(static_cast<std::size_t>(pc_) >= code_.words.size(),
-            "PC out of code bounds: ", pc_);
-    std::size_t index = pc_;
-    Instruction instr = Instruction::decode(code_.words, index);
-    Word next_pc = static_cast<Word>(index);
-
-    long cycles = timing_.simpleCycles +
-                  timing_.immWordCycles * (instr.sizeWords() - 1);
-    StepResult result;
-    stats_.inc("pe.instructions");
-    pcWritten_ = false;
-
-    if (isDup(instr.op)) {
-        // dup writes go to the memory-resident operand queue, never to
-        // the window registers (section 5.3.3).
-        memory_.writeWord(windowAddress(instr.dupDst1), lastResult_);
-        cycles += timing_.memoryCycles;
-        if (instr.op == Opcode::Dup2 &&
-            instr.dupDst2 != instr.dupDst1) {
-            memory_.writeWord(windowAddress(instr.dupDst2), lastResult_);
-            cycles += timing_.memoryCycles;
-        }
-        stats_.inc("pe.dups");
-        pc_ = next_pc;
-        result.cycles = cycles;
-        return result;
-    }
-
-    switch (instr.op) {
-      case Opcode::Send: {
-        Word channel = readSrc(instr.src1, cycles);
-        Word value = readSrc(instr.src2, cycles);
-        cycles += timing_.channelCycles;
-        if (host_->send(channel, value) == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;  // PC/QP untouched: retried later.
-        }
-        bumpQp(instr.qpInc);
-        stats_.inc("pe.sends");
-        break;
-      }
-      case Opcode::Recv: {
-        Word channel = readSrc(instr.src1, cycles);
-        Word value = 0;
-        cycles += timing_.channelCycles;
-        if (host_->recv(channel, value) == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;
-        }
-        bumpQp(instr.qpInc);
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.recvs");
-        break;
-      }
-      case Opcode::Store: {
-        Word addr = readSrc(instr.src1, cycles);
-        Word value = readSrc(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        memory_.writeWord(addr, value);
-        cycles += timing_.memoryCycles;
-        stats_.inc("pe.stores");
-        break;
-      }
-      case Opcode::Storb: {
-        Word addr = readSrc(instr.src1, cycles);
-        Word value = readSrc(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        memory_.writeByte(addr, static_cast<std::uint8_t>(value));
-        cycles += timing_.memoryCycles;
-        stats_.inc("pe.stores");
-        break;
-      }
-      case Opcode::Fetch: {
-        Word addr = readSrc(instr.src1, cycles);
-        bumpQp(instr.qpInc);
-        Word value = memory_.readWord(addr);
-        cycles += timing_.memoryCycles;
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.fetches");
-        break;
-      }
-      case Opcode::Fchb: {
-        Word addr = readSrc(instr.src1, cycles);
-        bumpQp(instr.qpInc);
-        Word value = memory_.readByte(addr);
-        cycles += timing_.memoryCycles;
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.fetches");
-        break;
-      }
-      case Opcode::Bne:
-      case Opcode::Beq: {
-        Word control = readSrc(instr.src1, cycles);
-        Word offset = readSrc(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        bool taken = (instr.op == Opcode::Bne) ? control != 0
-                                               : control == 0;
-        if (taken) {
-            next_pc = next_pc + offset;  // wraps mod 2^32 for negatives
-            cycles += timing_.branchTakenCycles;
-        }
-        stats_.inc("pe.branches");
-        break;
-      }
-      case Opcode::Trap:
-      case Opcode::Ftrap: {
-        Word number = readSrc(instr.src1, cycles);
-        Word argument = readSrc(instr.src2, cycles);
-        cycles += timing_.trapCycles;
-        TrapOutcome outcome = host_->trap(number, argument);
-        if (outcome.status == HostStatus::Blocked) {
-            result.status = StepStatus::Blocked;
-            result.cycles = cycles;
-            return result;
-        }
-        cycles += outcome.kernelCycles;
-        stats_.record("pe.trap_service",
-                      static_cast<std::uint64_t>(outcome.kernelCycles));
-        if (tracer_)
-            tracer_->trapEnter(clock_ ? *clock_ : 0, peIndex_, number,
-                               outcome.kernelCycles);
-        bumpQp(instr.qpInc);
-        if (outcome.result) {
-            writeDst(instr.dst1, *outcome.result);
-            writeDst(instr.dst2, *outcome.result);
-            lastResult_ = *outcome.result;
-        }
-        stats_.inc("pe.traps");
-        if (outcome.endContext) {
-            result.status = StepStatus::ContextEnd;
-            result.cycles = cycles;
-            pc_ = next_pc;
-            return result;
-        }
-        break;
-      }
-      case Opcode::Fret:
-      case Opcode::Rett:
-        result.status = StepStatus::Returned;
-        result.cycles = cycles;
-        pc_ = next_pc;
-        return result;
-      default: {
-        // ALU / logical / comparison class.
-        Word a = readSrc(instr.src1, cycles);
-        Word b = readSrc(instr.src2, cycles);
-        bumpQp(instr.qpInc);
-        Word value = aluResult(instr.op, a, b);
-        writeDst(instr.dst1, value);
-        writeDst(instr.dst2, value);
-        lastResult_ = value;
-        stats_.inc("pe.alu_ops");
-        break;
-      }
-    }
-
-    if (!pcWritten_)
-        pc_ = next_pc;
-    result.cycles = cycles;
-    return result;
-}
-
 Word
-ProcessingElement::readSrcFast(const Src &src, long &cycles)
+ProcessingElement::readOperand(const Src &src, long &cycles)
 {
     switch (src.kind) {
       case SrcKind::None:
@@ -479,14 +264,14 @@ ProcessingElement::readSrcFast(const Src &src, long &cycles)
     panic("unreachable src kind");
 }
 
-// Keep every architectural decision, cycle charge, and panic in this
-// function in lock-step with step() above: the differential suite
-// holds the two to byte-identical run output.
 StepResult
-ProcessingElement::stepFast()
+ProcessingElement::step()
 {
     if (faults_ && faults_->fire(fault::kPeStall)) {
-        // Stalls are rare; the slow-path stat strings are fine here.
+        // Transient stall: cycles pass, no instruction retires, no
+        // architectural state changes. The next step() re-attempts the
+        // same instruction. Stalls are rare, so the stat strings are
+        // fine here.
         long stall = static_cast<long>(faults_->stallCycles());
         stats_.inc("fault.pe_stall");
         stats_.inc("fault.pe_stall_cycles",
@@ -501,8 +286,7 @@ ProcessingElement::stepFast()
         stalled.cycles = stall;
         return stalled;
     }
-    panicIf(!decoded_, "stepFast without a DecodedProgram attached");
-    const isa::DecodedOp &op = decoded_->at(pc_);
+    const isa::DecodedOp &op = decoded_.at(pc_);
     const Instruction &instr = op.instr;
     Word next_pc = op.nextPc;
 
@@ -526,6 +310,8 @@ ProcessingElement::stepFast()
     pcWritten_ = false;
 
     if (isDup(instr.op)) {
+        // dup writes go to the memory-resident operand queue, never to
+        // the window registers (section 5.3.3).
         memory_.writeWord(windowAddress(instr.dupDst1), lastResult_);
         cycles += timing_.memoryCycles;
         if (instr.op == Opcode::Dup2 &&
@@ -541,8 +327,8 @@ ProcessingElement::stepFast()
 
     switch (instr.op) {
       case Opcode::Send: {
-        Word channel = readSrcFast(instr.src1, cycles);
-        Word value = readSrcFast(instr.src2, cycles);
+        Word channel = readOperand(instr.src1, cycles);
+        Word value = readOperand(instr.src2, cycles);
         cycles += timing_.channelCycles;
         if (host_->send(channel, value) == HostStatus::Blocked) {
             result.status = StepStatus::Blocked;
@@ -554,7 +340,7 @@ ProcessingElement::stepFast()
         break;
       }
       case Opcode::Recv: {
-        Word channel = readSrcFast(instr.src1, cycles);
+        Word channel = readOperand(instr.src1, cycles);
         Word value = 0;
         cycles += timing_.channelCycles;
         if (host_->recv(channel, value) == HostStatus::Blocked) {
@@ -570,8 +356,8 @@ ProcessingElement::stepFast()
         break;
       }
       case Opcode::Store: {
-        Word addr = readSrcFast(instr.src1, cycles);
-        Word value = readSrcFast(instr.src2, cycles);
+        Word addr = readOperand(instr.src1, cycles);
+        Word value = readOperand(instr.src2, cycles);
         bumpQp(instr.qpInc);
         memory_.writeWord(addr, value);
         cycles += timing_.memoryCycles;
@@ -579,8 +365,8 @@ ProcessingElement::stepFast()
         break;
       }
       case Opcode::Storb: {
-        Word addr = readSrcFast(instr.src1, cycles);
-        Word value = readSrcFast(instr.src2, cycles);
+        Word addr = readOperand(instr.src1, cycles);
+        Word value = readOperand(instr.src2, cycles);
         bumpQp(instr.qpInc);
         memory_.writeByte(addr, static_cast<std::uint8_t>(value));
         cycles += timing_.memoryCycles;
@@ -588,7 +374,7 @@ ProcessingElement::stepFast()
         break;
       }
       case Opcode::Fetch: {
-        Word addr = readSrcFast(instr.src1, cycles);
+        Word addr = readOperand(instr.src1, cycles);
         bumpQp(instr.qpInc);
         Word value = memory_.readWord(addr);
         cycles += timing_.memoryCycles;
@@ -599,7 +385,7 @@ ProcessingElement::stepFast()
         break;
       }
       case Opcode::Fchb: {
-        Word addr = readSrcFast(instr.src1, cycles);
+        Word addr = readOperand(instr.src1, cycles);
         bumpQp(instr.qpInc);
         Word value = memory_.readByte(addr);
         cycles += timing_.memoryCycles;
@@ -611,8 +397,8 @@ ProcessingElement::stepFast()
       }
       case Opcode::Bne:
       case Opcode::Beq: {
-        Word control = readSrcFast(instr.src1, cycles);
-        Word offset = readSrcFast(instr.src2, cycles);
+        Word control = readOperand(instr.src1, cycles);
+        Word offset = readOperand(instr.src2, cycles);
         bumpQp(instr.qpInc);
         bool taken = (instr.op == Opcode::Bne) ? control != 0
                                                : control == 0;
@@ -625,8 +411,8 @@ ProcessingElement::stepFast()
       }
       case Opcode::Trap:
       case Opcode::Ftrap: {
-        Word number = readSrcFast(instr.src1, cycles);
-        Word argument = readSrcFast(instr.src2, cycles);
+        Word number = readOperand(instr.src1, cycles);
+        Word argument = readOperand(instr.src2, cycles);
         cycles += timing_.trapCycles;
         TrapOutcome outcome = host_->trap(number, argument);
         if (outcome.status == HostStatus::Blocked) {
@@ -663,8 +449,8 @@ ProcessingElement::stepFast()
         return result;
       default: {
         // ALU / logical / comparison class.
-        Word a = readSrcFast(instr.src1, cycles);
-        Word b = readSrcFast(instr.src2, cycles);
+        Word a = readOperand(instr.src1, cycles);
+        Word b = readOperand(instr.src2, cycles);
         bumpQp(instr.qpInc);
         Word value = aluResult(instr.op, a, b);
         writeDst(instr.dst1, value);

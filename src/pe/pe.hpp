@@ -27,7 +27,6 @@
 #include <optional>
 
 #include "fault/fault.hpp"
-#include "isa/assembler.hpp"
 #include "isa/instruction.hpp"
 #include "pe/memory.hpp"
 #include "support/stats.hpp"
@@ -134,7 +133,13 @@ int pageWordsForPom(Word pom);
 class ProcessingElement
 {
   public:
-    ProcessingElement(Memory &memory, const isa::ObjectCode &code,
+    /**
+     * @p decoded is the predecoded form of the object code the PE
+     * executes; every PE of a System shares one. Standalone users
+     * build their own and must call flushStats() before reading
+     * stats().
+     */
+    ProcessingElement(Memory &memory, isa::DecodedProgram &decoded,
                       PeHost &host, PeTiming timing = {});
 
     /** Replace the host (used when wiring PEs into the kernel). */
@@ -177,27 +182,16 @@ class ProcessingElement
      */
     long rollOut();
 
-    /** Execute one instruction (plus chained dups under continue). */
+    /**
+     * Execute one instruction, fetched through the DecodedProgram
+     * arena. Per-instruction statistics are tallied in plain counters
+     * (see flushStats) instead of per-step string-map lookups, so
+     * flushStats() must run before stats() is read.
+     */
     StepResult step();
 
     /**
-     * Attach the shared predecoded form of the object code. Required
-     * before stepFast(); step() keeps decoding on the fly.
-     */
-    void setDecoded(isa::DecodedProgram *decoded) { decoded_ = decoded; }
-
-    /**
-     * Event-core fast path: architecturally identical to step(), but
-     * fetches through the DecodedProgram arena instead of re-decoding
-     * and tallies per-instruction statistics in plain counters (see
-     * flushStats) instead of per-step string-map lookups. A System
-     * must call flushStats() before reading stats() from a PE stepped
-     * through this path.
-     */
-    StepResult stepFast();
-
-    /**
-     * Speculation mode for the PDES windows: while enabled, stepFast()
+     * Speculation mode for the PDES windows: while enabled, step()
      * returns StepStatus::Deferred (zero cycles, zero side effects -
      * the instruction is not consumed and no tally moves) instead of
      * executing any instruction that would call into the host kernel
@@ -208,18 +202,15 @@ class ProcessingElement
     void setDeferHostOps(bool on) { deferHostOps_ = on; }
 
     /**
-     * Fold the stepFast() tallies into stats(). Only deltas that are
+     * Fold the step() tallies into stats(). Only deltas that are
      * actually non-zero touch the map, so a PE that never executed a
-     * given operation class creates no entry - exactly like step()'s
-     * create-on-first-use behavior, keeping rendered statistics
-     * byte-identical between the two cores.
+     * given operation class creates no entry.
      */
     void flushStats();
 
     /**
-     * Drop unflushed stepFast() tallies. Used on checkpoint restore:
-     * the rolled-back stats() already exclude them, just as the tick
-     * core's post-snapshot increments are erased by the rollback.
+     * Drop unflushed step() tallies. Used on checkpoint restore: the
+     * rolled-back stats() already exclude them.
      */
     void resetStatDeltas() { deltas_ = StatDeltas{}; }
 
@@ -247,7 +238,7 @@ class ProcessingElement
     StatSet &stats() { return stats_; }
 
   private:
-    /** Plain-counter tallies accumulated by stepFast(). */
+    /** Plain-counter tallies accumulated by step(). */
     struct StatDeltas
     {
         std::uint64_t instructions = 0;
@@ -264,15 +255,14 @@ class ProcessingElement
         Histogram trapService;
     };
 
-    Word readSrc(const isa::Src &src, long &cycles);
-    /** readSrc with the hit/miss tallies in deltas_ (stepFast path). */
-    Word readSrcFast(const isa::Src &src, long &cycles);
+    /** Read a source operand, tallying window hits and misses. */
+    Word readOperand(const isa::Src &src, long &cycles);
     void writeDst(int reg, Word value);
     void bumpQp(int inc);
     Word aluResult(isa::Opcode op, Word a, Word b);
 
     Memory &memory_;
-    const isa::ObjectCode &code_;
+    isa::DecodedProgram &decoded_;
     PeHost *host_;
     PeTiming timing_;
 
@@ -293,7 +283,6 @@ class ProcessingElement
     Word lastResult_ = 0;             ///< Feeds dup instructions.
     bool pcWritten_ = false;          ///< A dst wrote PC this step.
 
-    isa::DecodedProgram *decoded_ = nullptr;
     bool deferHostOps_ = false;  ///< PDES speculation: defer host ops.
     StatDeltas deltas_;
     StatSet stats_;

@@ -37,8 +37,8 @@ runOnce(const occam::CompiledProgram &program,
         const mp::SystemConfig &base_config)
 {
     // Host-side cost of the whole simulation, construction included:
-    // zeroing the simulated memory is part of what the run costs the
-    // host, so both cores are timed over the same span.
+    // allocating the simulated memory is part of what the run costs
+    // the host.
     auto host_start = std::chrono::steady_clock::now();
     auto stamp_host = [&](RunReport &r) {
         std::chrono::duration<double, std::milli> elapsed =

@@ -1,17 +1,17 @@
 /**
  * @file
  * Determinism gate for the PDES window scheduler: a run with
- * `hostThreads = N` must be BYTE-IDENTICAL to the sequential core on
+ * `hostThreads = N` must be BYTE-IDENTICAL to the sequential loop on
  * every observable surface - RunResult fields, the rendered statistics
  * registry, the Chrome trace stream, the full simulated memory image,
  * and the BENCH / metrics JSON documents - for ANY thread count,
- * across both simulation cores, flat and hierarchical topologies, and
- * the same plain / fault / recovery corpora the other differential
- * suites replay (tests/fuzz_corpus.hpp, honoring QM_FUZZ_ITERS).
+ * across flat and hierarchical topologies and the same plain / fault /
+ * recovery corpora the other differential suites replay
+ * (tests/fuzz_corpus.hpp, honoring QM_FUZZ_ITERS).
  *
  * What each suite pins down:
  *  - Plain corpus: real speculation windows (gang rounds, banked
- *    batches, ordered drain) against the sequential event core.
+ *    batches, ordered drain) against the sequential event loop.
  *  - Checkpoint corpus: fault-free runs with periodic snapshots; the
  *    window end is capped at nextCheckpointAt_, so every snapshot
  *    lands exactly on a window barrier *by construction* and must
@@ -83,9 +83,8 @@ compileCorpusProgram(int idx, std::string *main_label)
 CoreRun
 runThreaded(const isa::ObjectCode &object,
             const std::string &main_label, mp::SystemConfig config,
-            mp::SimCore core, int threads)
+            int threads)
 {
-    config.core = core;
     config.hostThreads = threads;
     // Record the full event stream so the comparison covers trace
     // emission order and timestamps, not just the end state.
@@ -141,25 +140,18 @@ expectIdentical(const CoreRun &seq, const CoreRun &par)
     EXPECT_EQ(seq.memory, par.memory);
 }
 
-/** Replay one config at every thread count x both cores. */
+/** Replay one config at every thread count. */
 void
 expectThreadInert(const isa::ObjectCode &object,
                   const std::string &main_label,
                   const mp::SystemConfig &config)
 {
-    CoreRun baseline = runThreaded(object, main_label, config,
-                                   mp::SimCore::Event, /*threads=*/1);
+    CoreRun baseline =
+        runThreaded(object, main_label, config, /*threads=*/1);
     for (int threads : kThreadCounts) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         expectIdentical(baseline,
-                        runThreaded(object, main_label, config,
-                                    mp::SimCore::Event, threads));
-        // The tick core has no window scheduler; hostThreads must be
-        // byte-inert there too (and tick stays identical to event,
-        // re-checking the core differential under the new plumbing).
-        expectIdentical(baseline,
-                        runThreaded(object, main_label, config,
-                                    mp::SimCore::Tick, threads));
+                        runThreaded(object, main_label, config, threads));
     }
 }
 
@@ -440,11 +432,10 @@ TEST(PdesDifferential, ThreadCountClampsToMachineSize)
     isa::ObjectCode object = compileCorpusProgram(1, &main_label);
     mp::SystemConfig config;
     config.numPes = 2;
-    CoreRun baseline = runThreaded(object, main_label, config,
-                                   mp::SimCore::Event, 1);
+    CoreRun baseline = runThreaded(object, main_label, config, 1);
     expectIdentical(baseline,
                     runThreaded(object, main_label, config,
-                                mp::SimCore::Event, /*threads=*/64));
+                                /*threads=*/64));
 }
 
 } // namespace

@@ -41,10 +41,12 @@ struct Fixture
     Memory memory{1 << 16};
     NullHost host;
     ObjectCode code;
+    DecodedProgram decoded;
     ProcessingElement pe;
 
     explicit Fixture(const std::string &source)
-        : code(assemble(source)), pe(memory, code, host)
+        : code(assemble(source)), decoded(code.words),
+          pe(memory, decoded, host)
     {
         ContextState state;
         state.pc = 0;
@@ -89,11 +91,14 @@ TEST(Pe, ArithmeticWithImmediates)
         "  plus #3,#4 :r17\n"
         "  minus r17,#10 :r18\n"
         "  mul r18,r18 :r19\n"
+        "  mul #100000,#100000 :r20\n"
         "  fret\n");
     run(f.pe);
     EXPECT_EQ(f.pe.readReg(17), 7u);
     EXPECT_EQ(static_cast<SWord>(f.pe.readReg(18)), -3);
     EXPECT_EQ(f.pe.readReg(19), 9u);
+    // Products wrap modulo 2^32 (10^10 mod 2^32).
+    EXPECT_EQ(f.pe.readReg(20), 1410065408u);
 }
 
 TEST(Pe, QueueDisciplineThesisExample)
@@ -142,6 +147,7 @@ TEST(Pe, PresenceMissReadsQueuePageMemory)
     f.memory.writeWord(kPage, 41);
     run(f.pe);
     EXPECT_EQ(f.pe.readReg(17), 42u);
+    f.pe.flushStats();
     EXPECT_EQ(f.pe.stats().counter("pe.window_misses"), 1u);
 }
 
@@ -341,7 +347,8 @@ TEST(Pe, SendDeliversChannelAndValue)
     Memory memory(1 << 16);
     RecordingHost host;
     ObjectCode code = assemble("  send #7,#42\n  fret\n");
-    ProcessingElement pe(memory, code, host);
+    DecodedProgram decoded(code.words);
+    ProcessingElement pe(memory, decoded, host);
     ContextState state;
     state.qp = kPage;
     state.pom = pomForPageWords(64);
@@ -357,7 +364,8 @@ TEST(Pe, BlockedSendLeavesPcForRetry)
     RecordingHost host;
     host.blockCount = 2;
     ObjectCode code = assemble("  send #7,#42\n  fret\n");
-    ProcessingElement pe(memory, code, host);
+    DecodedProgram decoded(code.words);
+    ProcessingElement pe(memory, decoded, host);
     ContextState state;
     state.qp = kPage;
     state.pom = pomForPageWords(64);
@@ -376,7 +384,8 @@ TEST(Pe, RecvWritesDestination)
     RecordingHost host;
     host.recvValues = {123};
     ObjectCode code = assemble("  recv #5 :r17\n  fret\n");
-    ProcessingElement pe(memory, code, host);
+    DecodedProgram decoded(code.words);
+    ProcessingElement pe(memory, decoded, host);
     ContextState state;
     state.qp = kPage;
     state.pom = pomForPageWords(64);
@@ -392,7 +401,8 @@ TEST(Pe, TrapWritesResultsAndEndsContext)
     ObjectCode code = assemble(
         "  trap #99,#10 :r17,r18\n"
         "  trap #0,#0\n");
-    ProcessingElement pe(memory, code, host);
+    DecodedProgram decoded(code.words);
+    ProcessingElement pe(memory, decoded, host);
     ContextState state;
     state.qp = kPage;
     state.pom = pomForPageWords(64);
@@ -418,6 +428,41 @@ TEST(Pe, NullHostRejectsChannelUse)
 {
     Fixture f("  send #1,#2\n  fret\n");
     EXPECT_THROW(run(f.pe), FatalError);
+}
+
+TEST(Pe, PcPastEndOfCodePanics)
+{
+    // A program that falls off its end: the fetch after the last
+    // instruction must panic, not read past the code image.
+    Fixture f("  plus #1,#2 :r17\n");
+    EXPECT_EQ(f.pe.step().status, StepStatus::Executed);
+    EXPECT_EQ(f.pe.pc(), 1u);
+    EXPECT_THROW(f.pe.step(), PanicError);
+    f.pe.setPc(1000);
+    EXPECT_THROW(f.pe.step(), PanicError);
+}
+
+TEST(Pe, TruncatedTrailingImmediateWordPanics)
+{
+    // The last instruction announces a 32-bit literal that the image
+    // does not hold: executing it must panic.
+    ObjectCode code = assemble(
+        "  plus #1,#2 :r17\n"
+        "  plus #100000,#0 :r18\n");
+    ASSERT_EQ(code.words.size(), 3u);
+    code.words.pop_back();
+    Memory memory(1 << 16);
+    NullHost host;
+    DecodedProgram decoded(code.words);
+    ProcessingElement pe(memory, decoded, host);
+    ContextState state;
+    state.qp = kPage;
+    state.pom = pomForPageWords(64);
+    pe.loadContext(state);
+    EXPECT_EQ(pe.step().status, StepStatus::Executed);
+    EXPECT_THROW(pe.step(), PanicError);
+    // Nothing retired: the faulting instruction is still the next one.
+    EXPECT_EQ(pe.pc(), 1u);
 }
 
 } // namespace

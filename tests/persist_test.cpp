@@ -1,7 +1,7 @@
 /**
  * @file
  * Durability suite: durable checkpoint save/load/resume byte-identity
- * across cores, topologies, host thread counts, and fault injection; a
+ * across topologies, host thread counts, and fault injection; a
  * corrupt-checkpoint fuzzer (bit flips and truncations must be
  * detected and refused with a structured error, never a crash or a
  * silently-wrong resume); the sweep completion journal (replay
@@ -171,8 +171,7 @@ struct ResumeCase
     const char *name;
     const char *topology;  ///< nullptr = default flat ring.
     int pes;
-    mp::SimCore saveCore;
-    mp::SimCore resumeCore;
+    int saveThreads;
     int resumeThreads;
 };
 
@@ -185,7 +184,7 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
     const ResumeCase &c = GetParam();
     std::string path = tempPath(std::string("resume_") + c.name + ".qmc");
     mp::SystemConfig save_config = baseConfig(c.pes);
-    save_config.core = c.saveCore;
+    save_config.hostThreads = c.saveThreads;
     if (c.topology)
         save_config.setTopology(mp::parseTopology(c.topology));
     // Resume every prefix: the 1st, 2nd, ... snapshot must each warm-
@@ -193,7 +192,6 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
     for (int target = 1; target <= 3; ++target) {
         Surfaces full = runSaving(save_config, path, target);
         mp::SystemConfig resume_config = save_config;
-        resume_config.core = c.resumeCore;
         resume_config.hostThreads = c.resumeThreads;
         Surfaces resumed = resumeFrom(resume_config, path);
         expectIdentical(full, resumed);
@@ -204,18 +202,10 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
 INSTANTIATE_TEST_SUITE_P(
     Topologies, DurableResumeTest,
     ::testing::Values(
-        ResumeCase{"flat_event", nullptr, 4, mp::SimCore::Event,
-                   mp::SimCore::Event, 1},
-        ResumeCase{"flat_cross_core", nullptr, 4, mp::SimCore::Tick,
-                   mp::SimCore::Event, 1},
-        ResumeCase{"flat_cross_core_rev", nullptr, 4, mp::SimCore::Event,
-                   mp::SimCore::Tick, 1},
-        ResumeCase{"ring4_threads2", "ring:4", 8, mp::SimCore::Event,
-                   mp::SimCore::Event, 2},
-        ResumeCase{"rings2x2_threads4", "rings:2x2", 8,
-                   mp::SimCore::Event, mp::SimCore::Event, 4},
-        ResumeCase{"rings2x2_from_tick", "rings:2x2", 8,
-                   mp::SimCore::Tick, mp::SimCore::Event, 4}),
+        ResumeCase{"flat_event", nullptr, 4, 1, 1},
+        ResumeCase{"ring4_threads2", "ring:4", 8, 1, 2},
+        ResumeCase{"rings2x2_threads4", "rings:2x2", 8, 1, 4},
+        ResumeCase{"rings2x2_threads4_to_1", "rings:2x2", 8, 4, 1}),
     [](const ::testing::TestParamInfo<ResumeCase> &info) {
         return info.param.name;
     });
@@ -230,6 +220,29 @@ TEST(DurableResumeTest, FaultInjectedResumeMatchesUninterrupted)
     config.faultPlan =
         fault::parseFaultPlan("seed=42,rate=0.01,kinds=drop+delay");
     Surfaces full = runSaving(config, path, 2);
+    Surfaces resumed = resumeFrom(config, path);
+    expectIdentical(full, resumed);
+    std::remove(path.c_str());
+}
+
+TEST(DurableResumeTest, RetainedSnapshotSavedAfterRunResumesIdentically)
+{
+    // Save the run's last periodic snapshot only after the run has
+    // finished and its fault streams have moved on: the file must
+    // still pair the snapshot with the streams as they were when it
+    // was taken, so the warm start redraws the uninterrupted run's
+    // fault schedule from that point.
+    std::string path = tempPath("resume_retained.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    config.faultPlan = fault::parseFaultPlan("seed=3,rate=0.3,kinds=drop");
+    const occam::CompiledProgram &program = pipelineProgram();
+    mp::System system(program.object, config);
+    mp::RunResult result = system.run(program.mainLabel);
+    ASSERT_TRUE(result.completed) << result.failureReason;
+    ASSERT_GT(result.faultsInjected, 0u);
+    Surfaces full = capture(system, result);
+    persist::Status st = system.saveCheckpoint(path);
+    ASSERT_TRUE(st.ok()) << st.toString();
     Surfaces resumed = resumeFrom(config, path);
     expectIdentical(full, resumed);
     std::remove(path.c_str());

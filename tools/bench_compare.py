@@ -2,8 +2,8 @@
 """Compare a BENCH_*.json report against a committed baseline.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [--tolerance FRAC]
-                        [--host-tolerance FRAC] [--min-host-speedup X]
-                        [--host-aggregate]
+                        [--host-tolerance FRAC] [--host-aggregate]
+                        [--min-thread-speedup X] [--speedup-pes N]
 
 A missing, unreadable, or malformed report file is a one-line
 diagnostic and exit 2 (distinct from exit 1 = a real regression), so
@@ -38,23 +38,17 @@ than --host-tolerance. Cycle and verification checks still run on
 every listed report - repetitions that disagree on cycles fail, since
 the simulator is deterministic.
 
---min-host-speedup X switches to speedup mode: BASELINE and CURRENT
-are two --host-time reports from the same machine (e.g. the unit-tick
-core vs the event-driven core on one CI runner), and the check is that
-CURRENT's aggregate host time at --speedup-pes (default 8) is at least
-X times faster than BASELINE's, summed across every series present in
-both. Cycle and verification checks still run first - a faster core
-that changes results must not pass.
-
---min-thread-speedup X is the PDES variant of the same gate: BASELINE
-is a sequential (--threads 1) --host-time report and CURRENT a
-threaded one from the same machine and job. Before aggregating host
-times it verifies the host_threads metadata: CURRENT must record
-host_threads > 1 and BASELINE must not (the key is emitted only for
-threaded sweeps), so a misconfigured job can never "pass" by comparing
-two sequential runs or two threaded ones. Cycle checks still run
-first - the threaded scheduler is required to be byte-identical, so
-pass --tolerance 0 alongside this gate.
+--min-thread-speedup X switches to the PDES speedup gate: BASELINE is
+a sequential (--threads 1) --host-time report and CURRENT a threaded
+one from the same machine and job, and the check is that CURRENT's
+aggregate host time at --speedup-pes (default 8) is at least X times
+faster than BASELINE's, summed across every series present in both.
+Before aggregating host times it verifies the host_threads metadata:
+CURRENT must record host_threads > 1 and BASELINE must not (the key is
+emitted only for threaded sweeps), so a misconfigured job can never
+"pass" by comparing two sequential runs or two threaded ones. Cycle
+checks still run first - the threaded scheduler is required to be
+byte-identical, so pass --tolerance 0 alongside this gate.
 """
 
 import argparse
@@ -148,12 +142,30 @@ def check_host_aggregate(base_reports, cur_reports, tolerance):
     return 0
 
 
-def check_host_speedup(base_runs, cur_runs, pes, minimum):
-    """Aggregate host-time speedup gate at one PE count.
+def check_thread_speedup(base_doc, cur_doc, base_runs, cur_runs, pes,
+                         minimum):
+    """Threaded-vs-sequential host-time gate at one PE count.
 
-    Sums host_wall_ms across every series both reports measured at
-    `pes` and fails when baseline/current falls below `minimum`.
+    Refuses to aggregate unless the metadata proves the comparison is
+    the intended one: the current report must come from a threaded
+    sweep (host_threads > 1, emitted by the bench writers only then)
+    and the baseline from a sequential one (key absent). Then sums
+    host_wall_ms across every series both reports measured at `pes`
+    and fails when baseline/current falls below `minimum`.
     """
+    cur_threads = cur_doc.get("host_threads", 1)
+    base_threads = base_doc.get("host_threads", 1)
+    if cur_threads <= 1:
+        print("FAIL: current report has no host_threads metadata; "
+              "rerun the sweep with --threads N (N > 1)")
+        return 1
+    if base_threads > 1:
+        print(f"FAIL: baseline report is itself threaded "
+              f"(host_threads={base_threads}); the thread-speedup "
+              f"gate needs a --threads 1 baseline")
+        return 1
+    print(f"note: thread-speedup gate: sequential baseline vs "
+          f"host_threads={cur_threads} current")
     base_total = 0.0
     cur_total = 0.0
     cells = 0
@@ -188,32 +200,6 @@ def check_host_speedup(base_runs, cur_runs, pes, minimum):
     return 0
 
 
-def check_thread_speedup(base_doc, cur_doc, base_runs, cur_runs, pes,
-                         minimum):
-    """Threaded-vs-sequential host-time gate at one PE count.
-
-    Refuses to aggregate unless the metadata proves the comparison is
-    the intended one: the current report must come from a threaded
-    sweep (host_threads > 1, emitted by the bench writers only then)
-    and the baseline from a sequential one (key absent). The numeric
-    check is then identical to check_host_speedup.
-    """
-    cur_threads = cur_doc.get("host_threads", 1)
-    base_threads = base_doc.get("host_threads", 1)
-    if cur_threads <= 1:
-        print("FAIL: current report has no host_threads metadata; "
-              "rerun the sweep with --threads N (N > 1)")
-        return 1
-    if base_threads > 1:
-        print(f"FAIL: baseline report is itself threaded "
-              f"(host_threads={base_threads}); the thread-speedup "
-              f"gate needs a --threads 1 baseline")
-        return 1
-    print(f"note: thread-speedup gate: sequential baseline vs "
-          f"host_threads={cur_threads} current")
-    return check_host_speedup(base_runs, cur_runs, pes, minimum)
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -231,11 +217,6 @@ def main():
                              "times; BASELINE and CURRENT may each be "
                              "a comma-separated list of repeated "
                              "reports (minimum total per side wins)")
-    parser.add_argument("--min-host-speedup", type=float, default=None,
-                        metavar="X",
-                        help="speedup mode: require CURRENT's aggregate "
-                             "host time at --speedup-pes to beat "
-                             "BASELINE's by at least X times")
     parser.add_argument("--min-thread-speedup", type=float,
                         default=None, metavar="X",
                         help="threaded speedup mode: BASELINE is a "
@@ -343,10 +324,6 @@ def main():
             [(p, runs) for p, (_, runs) in base_reports],
             [(p, runs) for p, (_, runs) in cur_reports],
             args.host_tolerance)
-    if args.min_host_speedup is not None:
-        return check_host_speedup(base_runs, cur_runs,
-                                  args.speedup_pes,
-                                  args.min_host_speedup)
     if args.min_thread_speedup is not None:
         return check_thread_speedup(base_doc, cur_doc,
                                     base_runs, cur_runs,
