@@ -140,7 +140,6 @@ main(int argc, char **argv)
     mp::SystemConfig base_config;
     base_config.faultPlan = args.faults;
     base_config.recovery = args.recovery;
-    base_config.hostThreads = args.threads;
     args.applyTelemetry(base_config);
 
     std::vector<mp::RingTopology> topologies;
@@ -284,8 +283,7 @@ main(int argc, char **argv)
 
     std::cout << "wrote "
               << sim::writeBenchJson("partitioned", all, "",
-                                     args.hostTime,
-                                     args.threads)
+                                     args.hostTime)
               << "\n";
     if (!args.metricsPath.empty()) {
         std::string where = sim::writeMetricsJson("partitioned", all,

@@ -5,6 +5,7 @@
  * Usage: qmprof [--top K] [--buckets N] trace.json
  *        qmprof [--top K] [--buckets N] --run file.occ [--pes N]
  *        qmprof diff [--tolerance F] [--host-tolerance F]
+ *                    [--host-aggregate] [--quiet]
  *                    baseline.json current.json
  *        qmprof flight [--last N] dump.flight.json
  *
@@ -22,10 +23,12 @@
  *
  * `qmprof diff` compares two qm.metrics.v1 or BENCH JSON documents
  * (baseline first) and prints per-run metric deltas, histogram
- * percentile divergence, and a regression verdict per cell using the
- * same thresholds as tools/bench_compare.py (--tolerance for
- * simulated cycles, --host-tolerance for host wall time). Exit 0 =
- * within tolerance, 1 = regression, 2 = unreadable input.
+ * percentile divergence, and a regression verdict per cell
+ * (--tolerance for simulated cycles, --host-tolerance for host wall
+ * time). --host-aggregate gates host time on the best-of-N total
+ * instead, with each side a comma-separated list of repeated
+ * --host-time reports (see obs::DiffOptions). Exit 0 = within
+ * tolerance, 1 = regression, 2 = unreadable or malformed input.
  *
  * `qmprof flight` ingests a qm.flight.v1 black-box dump (written
  * automatically by any failed occamc/bench run) and prints the
@@ -52,7 +55,8 @@ usage()
                  "       qmprof [--top K] [--buckets N] --run file.occ "
                  "[--pes N]\n"
                  "       qmprof diff [--tolerance F] "
-                 "[--host-tolerance F] baseline.json current.json\n"
+                 "[--host-tolerance F] [--host-aggregate] [--quiet] "
+                 "baseline.json current.json\n"
                  "       qmprof flight [--last N] dump.flight.json\n";
     return 2;
 }
@@ -74,6 +78,8 @@ mainDiff(int argc, char **argv)
                 options.hostTolerance =
                     qm::parseNonNegativeDoubleArg(argv[++i],
                                                   "--host-tolerance");
+            } else if (arg == "--host-aggregate") {
+                options.hostAggregate = true;
             } else if (arg == "--quiet") {
                 options.showMetrics = false;
             } else if (!arg.empty() && arg[0] != '-') {

@@ -21,8 +21,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -41,7 +39,6 @@
 #include "pe/pe.hpp"
 #include "persist/io.hpp"
 #include "support/stats.hpp"
-#include "support/thread_pool.hpp"
 #include "trace/trace.hpp"
 
 namespace qm::mp {
@@ -84,16 +81,6 @@ struct SystemConfig
     int maxLiveContexts = 2048;  ///< Queue-page pool size.
     int channelDepth = 8;        ///< Message-cache tokens per channel.
     Placement placement = Placement::LeastLoaded;
-
-    /**
-     * Host worker threads for one run (--threads): the simulator
-     * advances PEs in bounded synchronous windows (lookahead = minimum
-     * unloaded ring-bus latency) and speculates the pure compute
-     * portion of each window's batches across this many threads,
-     * byte-identical to the sequential loop on every surface for any
-     * value. 1 = the plain sequential event loop. Capped at numPes.
-     */
-    int hostThreads = 1;
 
     // Kernel service costs in cycles (trap entry cost is charged by the
     // PE's own timing on top of these).
@@ -177,9 +164,9 @@ struct SystemConfig
      * Emit a telemetry snapshot every N simulated cycles (0 = off).
      * Snapshots fire at deterministic cycle boundaries evaluated at
      * the same guard points as periodic checkpoints, so the stream is
-     * byte-identical across --threads and --jobs. Host-side
-     * only: excluded from the checkpoint fingerprint; an interrupted
-     * stream re-aligns to the next boundary after the resume point.
+     * byte-identical across --jobs. Host-side only: excluded from the
+     * checkpoint fingerprint; an interrupted stream re-aligns to the
+     * next boundary after the resume point.
      */
     Cycle telemetryEvery = 0;
 
@@ -191,7 +178,7 @@ struct SystemConfig
  * Deterministic textual digest of every simulation-relevant field of
  * @p config: machine shape, kernel costs, timing, fault/recovery
  * plans, and trace enablement. Host-side choices that are byte-inert
- * by invariant (hostThreads, hostDeadlineMs) are deliberately
+ * by invariant (hostDeadlineMs, output paths) are deliberately
  * excluded. System::configFingerprint() extends this with a CRC of
  * the loaded object code; the sweep journal combines it with per-spec
  * program/verification digests.
@@ -400,9 +387,8 @@ class System
      * checkpoint to be resumable on this system: machine shape,
      * kernel costs, timing, fault/recovery plans, trace enablement,
      * and a CRC of the object code. Host-side choices that are
-     * byte-inert by invariant (hostThreads, deadline) are
-     * deliberately excluded, so a checkpoint saved under --threads 1
-     * resumes under --threads 4 and vice versa.
+     * byte-inert by invariant (deadline, output paths) are
+     * deliberately excluded.
      */
     std::string configFingerprint() const;
 
@@ -504,10 +490,10 @@ class System
     void commitSpan(PeSlot &slot);
 
     /**
-     * Enqueue @p ctx on @p slot's ready queue and, outside the
-     * windowed loop, register the slot's wake in the calendar. Every
-     * ready-queue push must go through here (or be followed by an
-     * explicit calendar re-registration): the calendar invariant is
+     * Enqueue @p ctx on @p slot's ready queue and register the
+     * slot's wake in the calendar. Every ready-queue push must go
+     * through here (or be followed by an explicit calendar
+     * re-registration): the calendar invariant is
      * that whenever a slot has a nextTime(), at least one calendar
      * entry is <= it.
      */
@@ -522,83 +508,14 @@ class System
      */
     void calSchedule(PeSlot &slot, Cycle at);
 
-    // --- Recovery (see DESIGN.md "Recoverable execution") ---------------
-    /** Picks the run loop (shared by run() and resume()). */
+    /** The calendar-queue loop shared by run() and resume(). */
     RunResult runLoop(Cycle max_cycles);
-    /** The calendar-queue loop (see DESIGN.md). */
-    RunResult runLoopEvent(Cycle max_cycles);
-
-    // --- PDES window scheduler (hostThreads > 1; see DESIGN.md) ----------
-    /**
-     * Conservative synchronous windowed loop: byte-identical to
-     * runLoopEvent for any thread count. Windows are [T0, W) with
-     * W - T0 bounded by the bus lookahead and by every guard the
-     * sequential loop evaluates between batches (kill/lease/
-     * checkpoint/watchdog/budget), so those guards can only fire at
-     * window boundaries - exactly where the sequential loop would
-     * fire them.
-     */
-    RunResult runLoopThreaded(Cycle max_cycles);
-    /**
-     * Speculation record: one 16-step batch run ahead of its global
-     * order on a worker thread, with every system-global side effect
-     * (stats samples, the dispatch trace event, the context-switch
-     * counter, progress watermark) staged for ordered replay by the
-     * window drain. Slot-local and context-local state is mutated in
-     * place - proven equivalent because cross-PE influence inside a
-     * window is impossible (lookahead) and host ops are deferred.
-     */
-    struct SpecRec
-    {
-        Cycle start = 0;      ///< Selection key (slot nextTime()).
-        int stepsDone = 0;    ///< Executed steps (batch resumes here).
-        bool deferred = false;    ///< Ended on a deferred host op.
-        bool poppedEntry = false; ///< Dispatch consumed a ready entry.
-        bool hadRunningBefore = false;  ///< Slot was mid-context.
-        CtxId dispatchCtx = static_cast<CtxId>(-1);  ///< Trace event.
-        Cycle dispatchAt = 0;
-        bool residentResume = false;
-        bool evicted = false;
-        int switchesDelta = 0;
-        Cycle lastProgress = -1;  ///< Watermark after the last step.
-        std::optional<std::uint64_t> readyWait;  ///< Queue-wait sample.
-        std::exception_ptr error;  ///< Rethrown at drain position.
-    };
-    /**
-     * Speculate one slot ahead of the committed timeline (worker
-     * thread). Dispatches are bounded by @p window_end (they consult
-     * the ready queue, which is only lookahead-stable inside the
-     * window); continuation batches of a running context are bounded
-     * by @p spec_horizon, which the caller widens to the cycle budget
-     * when no time-triggered guard needs window-exact state - that
-     * "banking" lets one gang round cover many windows.
-     */
-    void specSlot(PeSlot &slot, Cycle window_end, Cycle spec_horizon,
-                  Cycle max_cycles);
-    /**
-     * Staged twin of dispatch(): true if a batch should run. False
-     * ends speculation for the slot *without* consuming anything -
-     * taken when the top ready entry is not plainly dispatchable
-     * (stale or superseded), which only the drain can decide.
-     */
-    bool dispatchSpec(PeSlot &slot, SpecRec &rec);
-    /** Replay one record's staged effects (+ continuation batch). */
-    void commitSpec(PeSlot &slot, Cycle max_cycles);
-    /**
-     * The 16-step batch body shared verbatim by runLoopEvent, the
-     * window drain's live selections, and deferred-batch
-     * continuations (which resume at @p first_step).
-     */
-    void runBatchEvent(PeSlot &slot, Cycle max_cycles, int first_step);
-    /**
-     * Scheduling load of one slot as the sequential core would see it
-     * at the drain's current position: uncommitted speculation has
-     * already popped ready entries and possibly started a context, so
-     * those effects are added back.
-     */
+    /** One 16-step batch of the dispatched context on @p slot. */
+    void runBatch(PeSlot &slot, Cycle max_cycles);
+    /** Queued plus running contexts on one slot (placement load). */
     std::size_t slotLoad(const PeSlot &slot) const;
-    /** Is @p ctx Running only because of uncommitted speculation? */
-    bool speculativelyRunning(const Context &ctx) const;
+
+    // --- Recovery (see DESIGN.md "Recoverable execution") ---------------
     void injectPeKill(Cycle at);
     /** Lease expired: re-dispatch the dead PE's contexts. */
     void recoverDeadPe(Cycle at);
@@ -685,14 +602,6 @@ class System
     bool booted = false;
     std::uint64_t liveContexts = 0;
     std::uint64_t switches = 0;
-
-    // PDES state (inert unless config_.hostThreads > 1; see DESIGN.md
-    // "Deterministic intra-run parallelism").
-    Cycle lookahead_ = 0;   ///< bus.minCrossLatency(), cached at init.
-    bool threadedRun_ = false;  ///< Inside runLoopThreaded (skips the
-                                ///< calendar bookkeeping in pushReady).
-    std::unique_ptr<WorkerGang> gang_;  ///< Started on first windowed run.
-    std::vector<std::vector<int>> partitions_;  ///< Worker -> owned PEs.
 
     // Recovery state (all inert unless config_.recovery.enabled).
     bool recoveryOn_ = false;

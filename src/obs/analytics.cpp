@@ -19,42 +19,84 @@ namespace {
 // diff
 // ---------------------------------------------------------------------------
 
-/** (series name, PE count) -> run object, as bench_compare.py keys. */
+/** (series name, PE count) -> run object. */
 using RunMap = std::map<std::pair<std::string, int>, const JsonValue *>;
 
+/** One loaded BENCH/metrics document and its run index. */
+struct Report
+{
+    std::string path;
+    JsonValue doc;
+    RunMap runs;
+};
+
 /**
- * Load one BENCH/metrics document and index its runs. Mirrors
- * bench_compare.py's load_runs contract: a missing, unreadable, or
- * structurally-wrong file is a one-line diagnostic and exit 2, never
- * a traceback.
+ * Load one BENCH/metrics document and index its runs. A missing,
+ * unreadable, or structurally-wrong file (top level, a series entry
+ * or a run entry that is not an object) is a one-line diagnostic and
+ * exit 2, never a crash.
  */
 bool
-loadRuns(const std::string &path, JsonValue &doc, RunMap &runs,
-         std::ostream &err)
+loadRuns(Report &report, std::ostream &err)
 {
+    const std::string &path = report.path;
     try {
-        doc = parseJsonFile(path);
+        report.doc = parseJsonFile(path);
     } catch (const std::exception &e) {
         err << "qmprof diff: " << path << ": " << e.what() << "\n";
         return false;
     }
-    if (!doc.isObject()) {
+    if (!report.doc.isObject()) {
         err << "qmprof diff: " << path
             << ": not a BENCH/metrics report (top level is not an "
                "object)\n";
         return false;
     }
-    for (const JsonValue &series : doc.get("series").items) {
-        if (!series.isObject())
-            continue;
+    const JsonValue &series_list = report.doc.get("series");
+    if (!series_list.isNull() && !series_list.isArray()) {
+        err << "qmprof diff: " << path << ": malformed series list\n";
+        return false;
+    }
+    for (const JsonValue &series : series_list.items) {
+        const JsonValue &runs = series.get("runs");
+        if (!series.isObject() || (!runs.isNull() && !runs.isArray())) {
+            err << "qmprof diff: " << path << ": malformed series entry\n";
+            return false;
+        }
         std::string name = series.str("name", "?");
-        for (const JsonValue &run : series.get("runs").items) {
-            if (!run.isObject())
-                continue;
-            runs[{name, static_cast<int>(run.intval("pes"))}] = &run;
+        for (const JsonValue &run : runs.items) {
+            if (!run.isObject()) {
+                err << "qmprof diff: " << path
+                    << ": malformed run entry\n";
+                return false;
+            }
+            report.runs[{name, static_cast<int>(run.intval("pes"))}] = &run;
         }
     }
     return true;
+}
+
+std::string
+cellName(const std::pair<std::string, int> &key)
+{
+    return key.first + " @ " + std::to_string(key.second) + " PEs";
+}
+
+/** Split a --host-aggregate positional into its repeated reports. */
+std::vector<std::string>
+splitPaths(const std::string &arg, bool aggregate)
+{
+    if (!aggregate)
+        return {arg};
+    std::vector<std::string> paths;
+    std::size_t start = 0;
+    for (;;) {
+        std::size_t comma = arg.find(',', start);
+        paths.push_back(arg.substr(start, comma - start));
+        if (comma == std::string::npos)
+            return paths;
+        start = comma + 1;
+    }
 }
 
 std::string
@@ -112,6 +154,57 @@ diffRunMetrics(const std::string &cell, const JsonValue &base,
     }
 }
 
+/**
+ * Best-of-N aggregate host gate: the minimum total host_wall_ms per
+ * side (repeated reports from one machine), which discards scheduler
+ * hiccups instead of averaging them in.
+ */
+int
+checkHostAggregate(const std::vector<Report> (&sides)[2], double tolerance,
+                   std::ostream &out)
+{
+    const char *labels[2] = {"baseline", "current"};
+    double best[2] = {0.0, 0.0};
+    for (int side = 0; side < 2; ++side) {
+        for (std::size_t i = 0; i < sides[side].size(); ++i) {
+            const Report &report = sides[side][i];
+            double total = 0.0;
+            for (const auto &[key, run] : report.runs) {
+                auto ms = run->members.find("host_wall_ms");
+                if (ms == run->members.end()) {
+                    // A partial sweep would silently compare different
+                    // work.
+                    out << "FAIL: " << report.path << ": "
+                        << cellName(key)
+                        << " has no host_wall_ms (rerun with "
+                           "--host-time)\n";
+                    return 1;
+                }
+                total += ms->second.number;
+            }
+            out << "note: " << labels[side] << " " << report.path
+                << ": total host " << fixed(total, 2) << "ms\n";
+            best[side] = i == 0 ? total : std::min(best[side], total);
+        }
+    }
+    if (best[0] <= 0.0) {
+        out << "FAIL: baseline best total host time is zero\n";
+        return 1;
+    }
+    double overhead = (best[1] - best[0]) / best[0];
+    std::ostringstream summary;
+    summary << "best-of-" << sides[1].size() << " total host "
+            << fixed(best[0], 2) << "ms -> " << fixed(best[1], 2)
+            << "ms (" << (overhead >= 0 ? "+" : "") << pct(overhead)
+            << ", tolerance " << pct(tolerance) << ")";
+    if (overhead > tolerance) {
+        out << "FAIL: aggregate host overhead: " << summary.str() << "\n";
+        return 1;
+    }
+    out << "aggregate host overhead ok: " << summary.str() << "\n";
+    return 0;
+}
+
 // ---------------------------------------------------------------------------
 // flight
 // ---------------------------------------------------------------------------
@@ -142,16 +235,25 @@ diffReports(const std::string &baselinePath,
             const std::string &currentPath, const DiffOptions &options,
             std::ostream &out, std::ostream &err)
 {
-    JsonValue base_doc;
-    JsonValue cur_doc;
-    RunMap base_runs;
-    RunMap cur_runs;
-    if (!loadRuns(baselinePath, base_doc, base_runs, err) ||
-        !loadRuns(currentPath, cur_doc, cur_runs, err))
-        return 2;
+    std::vector<Report> sides[2];
+    const std::string *args[2] = {&baselinePath, &currentPath};
+    for (int side = 0; side < 2; ++side) {
+        std::vector<std::string> paths =
+            splitPaths(*args[side], options.hostAggregate);
+        // Reserved up front: RunMap points into each Report's doc.
+        sides[side].reserve(paths.size());
+        for (const std::string &path : paths) {
+            sides[side].push_back({path, {}, {}});
+            if (!loadRuns(sides[side].back(), err))
+                return 2;
+        }
+    }
+    // The first report of each side anchors the cell checks.
+    const RunMap &base_runs = sides[0].front().runs;
+    const RunMap &cur_runs = sides[1].front().runs;
 
-    std::string base_name = base_doc.str("bench", "?");
-    std::string cur_name = cur_doc.str("bench", "?");
+    std::string base_name = sides[0].front().doc.str("bench", "?");
+    std::string cur_name = sides[1].front().doc.str("bench", "?");
     if (base_name != cur_name) {
         out << "FAIL: comparing different benches ('" << base_name
             << "' vs '" << cur_name << "')\n";
@@ -159,9 +261,29 @@ diffReports(const std::string &baselinePath,
     }
 
     int failures = 0;
+    // Repetitions must agree with the first report of their side: the
+    // simulator is deterministic, so any disagreement is a bug.
+    for (const std::vector<Report> &reports : sides) {
+        const RunMap &first = reports.front().runs;
+        for (std::size_t i = 1; i < reports.size(); ++i) {
+            for (const auto &[key, run] : first) {
+                auto other = reports[i].runs.find(key);
+                if (other == reports[i].runs.end() ||
+                    other->second->intval("cycles") !=
+                        run->intval("cycles") ||
+                    other->second->get("verified").boolean !=
+                        run->get("verified").boolean) {
+                    out << "FAIL: " << reports[i].path << ": "
+                        << cellName(key)
+                        << " disagrees with its first repetition "
+                           "(nondeterministic sweep?)\n";
+                    ++failures;
+                }
+            }
+        }
+    }
     for (const auto &[key, base] : base_runs) {
-        const auto &[series, pes] = key;
-        std::string cell = series + " @ " + std::to_string(pes) + " PEs";
+        std::string cell = cellName(key);
         auto it = cur_runs.find(key);
         if (it == cur_runs.end()) {
             out << "FAIL: " << cell << ": missing from current report\n";
@@ -196,11 +318,13 @@ diffReports(const std::string &baselinePath,
                     << " cycles (unchanged)\n";
             }
         }
-        // Host time is gated only when both sides measured it; a
-        // committed machine-independent baseline never carries it.
+        // Host time is gated per cell only when both sides measured
+        // it (a committed machine-independent baseline never carries
+        // it), and not in aggregate mode, which gates the totals.
         auto base_ms_it = base->members.find("host_wall_ms");
         auto cur_ms_it = cur.members.find("host_wall_ms");
-        if (base_ms_it != base->members.end() &&
+        if (!options.hostAggregate &&
+            base_ms_it != base->members.end() &&
             cur_ms_it != cur.members.end() &&
             base_ms_it->second.number > 0.0) {
             double base_ms = base_ms_it->second.number;
@@ -221,8 +345,7 @@ diffReports(const std::string &baselinePath,
     for (const auto &[key, run] : cur_runs) {
         (void)run;
         if (base_runs.find(key) == base_runs.end())
-            out << "note: " << key.first << " @ " << key.second
-                << " PEs: new cell, no baseline\n";
+            out << "note: " << cellName(key) << ": new cell, no baseline\n";
     }
 
     if (failures != 0) {
@@ -233,6 +356,8 @@ diffReports(const std::string &baselinePath,
     }
     out << "all " << base_runs.size()
         << " baseline cells within tolerance\n";
+    if (options.hostAggregate)
+        return checkHostAggregate(sides, options.hostTolerance, out);
     return 0;
 }
 

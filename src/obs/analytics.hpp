@@ -6,11 +6,10 @@
  * diff ingests two BENCH_*.json or qm.metrics.v1 documents and walks
  * every (series, PE-count) cell of the baseline: cycle regressions
  * past a tolerance, cells that disappeared or stopped verifying, and
- * host-wall regressions when both documents measured host time — the
- * same thresholds and verdict semantics as tools/bench_compare.py, so
- * a CI gate and an interactive diff can never disagree. Metrics
- * documents additionally get per-counter deltas and histogram
- * percentile divergence.
+ * host-wall regressions when both documents measured host time. It
+ * is the one regression comparator: CI's cycle and overhead gates
+ * call it too. Metrics documents additionally get per-counter deltas
+ * and histogram percentile divergence.
  *
  * flight ingests a `qm.flight.v1` black box (src/obs/flight.hpp) and
  * renders a post-mortem: the dump header, per-kind event totals, the
@@ -18,9 +17,9 @@
  * (contexts whose final recorded event is a park), and a probable-
  * cause digest keyed on the dump reason.
  *
- * Exit-code contract (mirrors bench_compare.py): 0 = clean, 1 = a
- * real regression / verdict failure, 2 = a document that cannot be
- * read or is not of the expected schema.
+ * Exit-code contract: 0 = clean, 1 = a real regression / verdict
+ * failure, 2 = a document that cannot be read or is not of the
+ * expected schema.
  */
 #pragma once
 
@@ -29,13 +28,25 @@
 
 namespace qm::obs {
 
-/** Thresholds for diffReports; defaults match bench_compare.py. */
+/** Thresholds for diffReports. */
 struct DiffOptions
 {
     /** Max fractional cycle regression before a cell fails. */
     double tolerance = 0.10;
     /** Max fractional host_wall_ms regression (both sides present). */
     double hostTolerance = 0.25;
+    /**
+     * Gate hostTolerance on the TOTAL host_wall_ms summed over every
+     * cell instead of per cell (per-cell sweep times are below
+     * scheduler noise). Each path may then be a comma-separated list
+     * of repeated --host-time reports from one machine: the gate
+     * compares the best (minimum) total per side, every cell of every
+     * report must carry host_wall_ms, and a repetition that disagrees
+     * with its side's first report on a cell's cycles or verification
+     * fails. Cycle and verification checks against the baseline run
+     * on the first current report.
+     */
+    bool hostAggregate = false;
     /** Print per-counter deltas / histogram divergence for metrics. */
     bool showMetrics = true;
 };

@@ -49,32 +49,49 @@ GraphInterpreter::nodeValue(const Activation &act, int node) const
 
 namespace {
 
+/** @p v reduced to the machine's 32-bit word, sign-extended. */
+std::int64_t
+wrapWord(std::uint32_t v)
+{
+    return static_cast<std::int32_t>(v);
+}
+
+/**
+ * One binary operator with the PE's ALU semantics (pe::aluResult):
+ * 32-bit two's-complement wrap, arithmetic right shift, signed
+ * comparisons, and INT_MIN / -1 defined as quotient INT_MIN,
+ * remainder 0.
+ */
 std::int64_t
 applyArith(const std::string &op, std::int64_t a, std::int64_t b)
 {
-    if (op == "+") return a + b;
-    if (op == "-") return a - b;
-    if (op == "*") return a * b;
+    const auto ua = static_cast<std::uint32_t>(a);
+    const auto ub = static_cast<std::uint32_t>(b);
+    const auto sa = static_cast<std::int32_t>(ua);
+    const auto sb = static_cast<std::int32_t>(ub);
+    if (op == "+") return wrapWord(ua + ub);
+    if (op == "-") return wrapWord(ua - ub);
+    if (op == "*") return wrapWord(ua * ub);
     if (op == "/") {
-        fatalIf(b == 0, "abstract division by zero");
-        return a / b;
+        fatalIf(sb == 0, "abstract division by zero");
+        return sb == -1 ? wrapWord(0u - ua) : sa / sb;
     }
     if (op == "\\") {
-        fatalIf(b == 0, "abstract modulo by zero");
-        return a % b;
+        fatalIf(sb == 0, "abstract modulo by zero");
+        return sb == -1 ? 0 : sa % sb;
     }
-    if (op == "and") return a & b;
-    if (op == "or") return a | b;
-    if (op == "xor") return a ^ b;
-    if (op == "lshift") return a << (b & 31);
-    if (op == "rshift") return a >> (b & 31);
+    if (op == "and") return wrapWord(ua & ub);
+    if (op == "or") return wrapWord(ua | ub);
+    if (op == "xor") return wrapWord(ua ^ ub);
+    if (op == "lshift") return wrapWord(ua << (ub & 31));
+    if (op == "rshift") return sa >> (ub & 31);
     // Comparisons use the machine Boolean encoding (all ones / zero).
-    if (op == "eq") return a == b ? -1 : 0;
-    if (op == "ne") return a != b ? -1 : 0;
-    if (op == "lt") return a < b ? -1 : 0;
-    if (op == "le") return a <= b ? -1 : 0;
-    if (op == "gt") return a > b ? -1 : 0;
-    if (op == "ge") return a >= b ? -1 : 0;
+    if (op == "eq") return sa == sb ? -1 : 0;
+    if (op == "ne") return sa != sb ? -1 : 0;
+    if (op == "lt") return sa < sb ? -1 : 0;
+    if (op == "le") return sa <= sb ? -1 : 0;
+    if (op == "gt") return sa > sb ? -1 : 0;
+    if (op == "ge") return sa >= sb ? -1 : 0;
     fatal("abstract interpreter: unknown operator '", op, "'");
 }
 
@@ -98,7 +115,7 @@ GraphInterpreter::stepActivation(std::size_t index)
         std::int64_t value = 0;
 
         if (n.op == "const") {
-            value = n.constValue;
+            value = wrapWord(static_cast<std::uint32_t>(n.constValue));
         } else if (n.op == "claddr") {
             auto it = graphIndex.find(n.name);
             panicIf(it == graphIndex.end(), "unknown graph label ",
@@ -181,9 +198,9 @@ GraphInterpreter::stepActivation(std::size_t index)
             ++result.steps;
             return true;
         } else if (n.op == "neg") {
-            value = -arg(0);
+            value = wrapWord(0u - static_cast<std::uint32_t>(arg(0)));
         } else if (n.op == "not") {
-            value = ~arg(0);
+            value = wrapWord(~static_cast<std::uint32_t>(arg(0)));
         } else if (n.op == "in") {
             panic("abstract interpreter: unbound 'in' node");
         } else {

@@ -6,7 +6,8 @@
  * values live in a per-context table, channels are unbounded token
  * queues, and contexts are scheduled cooperatively. No instruction
  * encoding, no operand queue, no registers - this is the pure
- * data-flow semantics of Chapter 4.
+ * data-flow semantics of Chapter 4. Values are 32-bit machine words:
+ * arithmetic wraps and compares exactly as the PE's ALU does.
  *
  * Its purpose is differential testing: a compiled program must compute
  * the same observable memory state here and on the cycle-level

@@ -6,8 +6,6 @@
 
 namespace qm::pe {
 
-thread_local UndoLog *Memory::undo_ = nullptr;
-
 Memory::Memory(std::size_t bytes)
     : store_(static_cast<std::uint8_t *>(std::calloc(bytes, 1))),
       size_(bytes)

@@ -84,13 +84,9 @@ class Memory
 
     /**
      * Attach (or detach with nullptr) an undo log recording the old
-     * value of every subsequent write made by the calling thread. The
-     * System points this at the stepping PE's span log around each
-     * batch; with no recovery plan it stays null and writes behave
-     * exactly as before. The attachment is thread-local so the PDES
-     * worker threads can journal concurrent speculative spans into
-     * their own slots' logs without racing (each worker brackets its
-     * own batches; a thread that never attaches journals nothing).
+     * value of every subsequent write. The System points this at the
+     * stepping PE's span log around each batch; with no recovery plan
+     * it stays null and writes behave exactly as before.
      */
     void setUndoLog(UndoLog *undo) { undo_ = undo; }
 
@@ -115,8 +111,7 @@ class Memory
     std::unique_ptr<std::uint8_t[], FreeDeleter> store_;
     std::uint8_t *data_ = nullptr;  ///< store_.get(), cached.
     std::size_t size_ = 0;
-    /** Per-thread undo attachment (see setUndoLog). */
-    static thread_local UndoLog *undo_;
+    UndoLog *undo_ = nullptr;  ///< See setUndoLog.
 };
 
 } // namespace qm::pe

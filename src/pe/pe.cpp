@@ -218,12 +218,14 @@ ProcessingElement::aluResult(Opcode op, Word a, Word b)
       case Opcode::Minus: return a - b;
       case Opcode::Mul:
         return a * b;  // low 32 bits, identical for signed operands
+      // INT_MIN / -1 overflows in C++; the machine defines it as the
+      // two's-complement wrap: quotient INT_MIN, remainder 0.
       case Opcode::Div:
         fatalIf(sb == 0, "division by zero");
-        return static_cast<Word>(sa / sb);
+        return sb == -1 ? 0u - a : static_cast<Word>(sa / sb);
       case Opcode::Rem:
         fatalIf(sb == 0, "remainder by zero");
-        return static_cast<Word>(sa % sb);
+        return sb == -1 ? 0u : static_cast<Word>(sa % sb);
       case Opcode::Ge: return sa >= sb ? isa::kTrue : isa::kFalse;
       case Opcode::Ne: return a != b ? isa::kTrue : isa::kFalse;
       case Opcode::Gt: return sa > sb ? isa::kTrue : isa::kFalse;
@@ -289,19 +291,6 @@ ProcessingElement::step()
     const isa::DecodedOp &op = decoded_.at(pc_);
     const Instruction &instr = op.instr;
     Word next_pc = op.nextPc;
-
-    if (deferHostOps_ &&
-        (instr.op == Opcode::Send || instr.op == Opcode::Recv ||
-         instr.op == Opcode::Trap || instr.op == Opcode::Ftrap ||
-         instr.op == Opcode::Fret || instr.op == Opcode::Rett)) {
-        // Speculation boundary: stop before any architectural effect
-        // (no operand read, no cycle charge, no tally) so the drain
-        // re-executes this instruction from scratch against the real
-        // kernel.
-        StepResult deferred;
-        deferred.status = StepStatus::Deferred;
-        return deferred;
-    }
 
     long cycles = timing_.simpleCycles +
                   timing_.immWordCycles * (op.sizeWords - 1);

@@ -83,7 +83,6 @@ enum class StepStatus
     Blocked,     ///< Channel/trap blocked; instruction not consumed.
     ContextEnd,  ///< Kernel exit trap: the context is finished.
     Returned,    ///< fret/rett executed (standalone-program halt).
-    Deferred,    ///< Host op reached in defer mode; nothing consumed.
 };
 
 struct StepResult
@@ -191,17 +190,6 @@ class ProcessingElement
     StepResult step();
 
     /**
-     * Speculation mode for the PDES windows: while enabled, step()
-     * returns StepStatus::Deferred (zero cycles, zero side effects -
-     * the instruction is not consumed and no tally moves) instead of
-     * executing any instruction that would call into the host kernel
-     * (send/recv/trap/ftrap). The window drain re-executes the
-     * deferred instruction with defer mode off, at which point it runs
-     * in full. Purely compute instructions are unaffected.
-     */
-    void setDeferHostOps(bool on) { deferHostOps_ = on; }
-
-    /**
      * Fold the step() tallies into stats(). Only deltas that are
      * actually non-zero touch the map, so a PE that never executed a
      * given operation class creates no entry.
@@ -283,7 +271,6 @@ class ProcessingElement
     Word lastResult_ = 0;             ///< Feeds dup instructions.
     bool pcWritten_ = false;          ///< A dst wrote PC this step.
 
-    bool deferHostOps_ = false;  ///< PDES speculation: defer host ops.
     StatDeltas deltas_;
     StatSet stats_;
 };

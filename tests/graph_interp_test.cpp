@@ -83,6 +83,36 @@ TEST(GraphInterp, AgreesOnArithmetic)
     EXPECT_EQ(d.abstractWords[2], -12);
 }
 
+TEST(GraphInterp, AgreesOnWrappingArithmetic)
+{
+    // Operands come from memory so nothing constant-folds: the
+    // oracle's own arithmetic must wrap to the 32-bit machine word
+    // (products, and the quotient/comparison of a wrapped product)
+    // and define INT_MIN / -1 as the PE does.
+    Differential d(
+        "var r[6], m[3]:\n"
+        "seq\n"
+        "  m[0] := 65537\n"
+        "  m[1] := -2147483647\n"
+        "  m[2] := -1\n"
+        "  r[0] := m[0] * m[0]\n"
+        "  r[1] := (m[0] * m[0]) / 3\n"
+        "  r[2] := (m[1] - 1) / m[2]\n"
+        "  r[3] := (m[1] - 1) \\ m[2]\n"
+        "  r[4] := -(m[1] - 1)\n"
+        "  if\n"
+        "    (m[0] * m[0]) > 200000\n"
+        "      r[5] := 1\n"
+        "    (m[0] * m[0]) <= 200000\n"
+        "      r[5] := 2\n",
+        "r", 6);
+    EXPECT_EQ(d.abstractWords, d.machineWords);
+    const std::int64_t int_min = -2147483647 - 1;
+    EXPECT_EQ(d.abstractWords,
+              (std::vector<std::int64_t>{131073, 43691, int_min, 0,
+                                         int_min, 2}));
+}
+
 TEST(GraphInterp, AgreesOnControlFlow)
 {
     Differential d(

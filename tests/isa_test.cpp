@@ -236,6 +236,23 @@ TEST(Assembler, Errors)
     EXPECT_THROW(assemble("plus r99,r1 :r0\n"), FatalError);
 }
 
+TEST(Assembler, LabelAtEndOfFileLabelsNothing)
+{
+    // A trailing label has no statement to bind to: a named
+    // diagnostic, whether or not earlier lines assembled.
+    for (const char *text : {"plus r0,r1 :r0\ndone:\n", "done:\n"}) {
+        try {
+            assemble(text);
+            FAIL() << "expected a FatalError for: " << text;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "label 'done' at end of file labels nothing"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Assembler, NumberOverflowIsALineDiagnosticNotACrash)
 {
     // r99999999999 used to escape as an uncaught std::out_of_range

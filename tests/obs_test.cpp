@@ -2,7 +2,7 @@
  * @file
  * Observability layer tests: the always-on flight recorder (rings,
  * counts, qm.flight.v1 dumps, QM_FLIGHT kill switch), the telemetry
- * stream (determinism across host threads), the Prometheus
+ * stream (cycle-stamped schema lines), the Prometheus
  * exposition writer, and the qmprof cross-run analytics (diff verdicts
  * and flight post-mortems).
  */
@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "mp/system.hpp"
 #include "obs/analytics.hpp"
@@ -268,12 +270,11 @@ TEST(FlightSystem, WriteFlightDumpProducesParseableFile)
 // --- Telemetry determinism -----------------------------------------------
 
 std::vector<std::string>
-telemetryLines(int threads)
+telemetryLines()
 {
     const occam::CompiledProgram &program = pipelineProgram();
     mp::SystemConfig config;
     config.numPes = 2;
-    config.hostThreads = threads;
     config.telemetryEvery = 50;
     mp::System system(program.object, config);
     std::vector<std::string> lines;
@@ -286,16 +287,9 @@ telemetryLines(int threads)
     return lines;
 }
 
-TEST(Telemetry, StreamIsByteIdenticalAcrossCoresAndThreads)
-{
-    std::vector<std::string> serial = telemetryLines(1);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, telemetryLines(4));
-}
-
 TEST(Telemetry, LinesAreCycleStampedSchemaTaggedAndMonotone)
 {
-    std::vector<std::string> lines = telemetryLines(1);
+    std::vector<std::string> lines = telemetryLines();
     ASSERT_GE(lines.size(), 2u);
     std::int64_t last_cycle = 0;
     long long last_instructions = 0;
@@ -476,6 +470,138 @@ TEST(QmprofDiff, MismatchedBenchNamesFail)
     EXPECT_EQ(diffDocs(benchDoc(1000), other, &text), 1);
     EXPECT_NE(text.find("comparing different benches"),
               std::string::npos);
+}
+
+TEST(QmprofDiff, MalformedAndNonObjectInputsExitTwo)
+{
+    std::string good_path = tempPath("diff_good.json");
+    writeFile(good_path, benchDoc(1000));
+    const char *bad_docs[] = {
+        "{\"bench\":",                                   // malformed
+        "[1, 2]",                                        // not an object
+        "{\"bench\":\"t\",\"series\":\"s\"}",            // series list
+        "{\"bench\":\"t\",\"series\":[3]}",              // series entry
+        "{\"bench\":\"t\",\"series\":[{\"runs\":[4]}]}", // run entry
+    };
+    std::string bad_path = tempPath("diff_bad.json");
+    for (const char *bad : bad_docs) {
+        writeFile(bad_path, bad);
+        std::ostringstream out, err;
+        EXPECT_EQ(obs::diffReports(bad_path, good_path, {}, out, err), 2)
+            << bad;
+        EXPECT_EQ(obs::diffReports(good_path, bad_path, {}, out, err), 2)
+            << bad;
+        EXPECT_NE(err.str().find("qmprof diff: "), std::string::npos);
+    }
+    std::remove(bad_path.c_str());
+    std::remove(good_path.c_str());
+}
+
+// --- qmprof diff --host-aggregate ----------------------------------------
+
+/** BENCH document with two timed cells (4 and 8 PEs) of @p ms each. */
+std::string
+timedDoc(double ms, long cycles = 1000)
+{
+    std::ostringstream os;
+    os << "{\"bench\":\"t\",\"series\":[{\"name\":\"s\",\"runs\":["
+       << "{\"pes\":4,\"verified\":true,\"cycles\":" << cycles
+       << ",\"host_wall_ms\":" << ms << "},"
+       << "{\"pes\":8,\"verified\":true,\"cycles\":600"
+       << ",\"host_wall_ms\":" << ms << "}]}]}";
+    return os.str();
+}
+
+/** Writes each side's repetitions and runs an aggregate diff. */
+int
+aggregateDiff(const std::vector<std::string> &baseline,
+              const std::vector<std::string> &current, std::string &text,
+              double host_tolerance = 0.02)
+{
+    std::vector<std::string> written;
+    auto side = [&](const char *label,
+                    const std::vector<std::string> &docs) {
+        std::string list;
+        for (std::size_t i = 0; i < docs.size(); ++i) {
+            std::string path = tempPath(std::string("agg_") + label +
+                                        std::to_string(i) + ".json");
+            writeFile(path, docs[i]);
+            written.push_back(path);
+            list += (i ? "," : "") + path;
+        }
+        return list;
+    };
+    std::string base_list = side("base", baseline);
+    std::string cur_list = side("cur", current);
+    obs::DiffOptions options;
+    options.tolerance = 0.0;
+    options.hostTolerance = host_tolerance;
+    options.hostAggregate = true;
+    std::ostringstream out, err;
+    int rc = obs::diffReports(base_list, cur_list, options, out, err);
+    text = out.str() + err.str();
+    for (const std::string &path : written)
+        std::remove(path.c_str());
+    return rc;
+}
+
+TEST(QmprofDiff, HostAggregatePassesOnBestOfN)
+{
+    // Only the best total per side is gated, so one slow repetition
+    // (12 ms per cell, a scheduler hiccup) does not fail the +1%.
+    std::string text;
+    EXPECT_EQ(aggregateDiff({timedDoc(10.0), timedDoc(11.0)},
+                            {timedDoc(12.0), timedDoc(10.1)}, text),
+              0)
+        << text;
+    EXPECT_NE(text.find("aggregate host overhead ok: best-of-2 total "
+                        "host 20.00ms -> 20.20ms"),
+              std::string::npos)
+        << text;
+}
+
+TEST(QmprofDiff, HostAggregateFailsPastTolerance)
+{
+    std::string text;
+    EXPECT_EQ(aggregateDiff({timedDoc(10.0), timedDoc(10.0)},
+                            {timedDoc(10.5), timedDoc(10.4)}, text),
+              1)
+        << text;
+    EXPECT_NE(text.find("FAIL: aggregate host overhead"),
+              std::string::npos)
+        << text;
+    // A looser tolerance admits the same 4% overhead.
+    EXPECT_EQ(aggregateDiff({timedDoc(10.0)}, {timedDoc(10.4)}, text,
+                            0.05),
+              0)
+        << text;
+}
+
+TEST(QmprofDiff, HostAggregateRepetitionsDisagreeingOnCyclesFail)
+{
+    // The simulator is deterministic: a repetition whose cycles differ
+    // from its side's first report fails, on either side, even when
+    // the host totals are fine.
+    std::string text;
+    EXPECT_EQ(aggregateDiff({timedDoc(10.0), timedDoc(10.0)},
+                            {timedDoc(10.0), timedDoc(10.0, 1001)}, text),
+              1);
+    EXPECT_NE(text.find("disagrees with its first repetition"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("aggregate host overhead"), std::string::npos)
+        << text;
+    EXPECT_EQ(aggregateDiff({timedDoc(10.0), timedDoc(10.0, 999)},
+                            {timedDoc(10.0)}, text),
+              1);
+}
+
+TEST(QmprofDiff, HostAggregateRequiresHostTimeOnEveryCell)
+{
+    std::string text;
+    EXPECT_EQ(aggregateDiff({benchDoc(1000)}, {benchDoc(1000)}, text), 1);
+    EXPECT_NE(text.find("has no host_wall_ms"), std::string::npos)
+        << text;
 }
 
 // --- qmprof flight -------------------------------------------------------

@@ -255,6 +255,25 @@ TEST(Pe, BeqBranchesOnFalse)
     EXPECT_EQ(f.pe.readReg(19), 7u);
 }
 
+TEST(Pe, IntMinByMinusOneWraps)
+{
+    // The one overflowing quotient: INT_MIN / -1 wraps to INT_MIN and
+    // its remainder is 0 (no trap, no undefined behaviour).
+    Fixture f(
+        "  lshift #1,#31 :r17\n"
+        "  div r17,#-1 :r18\n"
+        "  rem r17,#-1 :r19\n"
+        "  div #-7,#-1 :r20\n"
+        "  rem #-7,#2 :r21\n"
+        "  fret\n");
+    run(f.pe);
+    EXPECT_EQ(f.pe.readReg(17), 0x80000000u);
+    EXPECT_EQ(f.pe.readReg(18), 0x80000000u);
+    EXPECT_EQ(f.pe.readReg(19), 0u);
+    EXPECT_EQ(static_cast<SWord>(f.pe.readReg(20)), 7);
+    EXPECT_EQ(static_cast<SWord>(f.pe.readReg(21)), -1);
+}
+
 TEST(Pe, DivisionByZeroIsFatal)
 {
     Fixture f("  div #1,#0 :r17\n  fret\n");

@@ -1,13 +1,12 @@
 /**
  * @file
  * Durability suite: durable checkpoint save/load/resume byte-identity
- * across topologies, host thread counts, and fault injection; a
+ * across topologies and fault injection; a
  * corrupt-checkpoint fuzzer (bit flips and truncations must be
  * detected and refused with a structured error, never a crash or a
  * silently-wrong resume); the sweep completion journal (replay
  * identity, torn tails, fingerprint mismatch); and in-memory
- * snapshot/restore identity under hierarchical topologies and PDES
- * threading.
+ * snapshot/restore identity under flat and hierarchical topologies.
  */
 #include <gtest/gtest.h>
 
@@ -171,8 +170,12 @@ struct ResumeCase
     const char *name;
     const char *topology;  ///< nullptr = default flat ring.
     int pes;
-    int saveThreads;
-    int resumeThreads;
+    /**
+     * Host deadline for the resuming System only. The deadline is
+     * byte-inert and outside the checkpoint fingerprint, so a
+     * checkpoint must resume identically under a different one.
+     */
+    long resumeDeadlineMs;
 };
 
 class DurableResumeTest : public ::testing::TestWithParam<ResumeCase>
@@ -184,7 +187,6 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
     const ResumeCase &c = GetParam();
     std::string path = tempPath(std::string("resume_") + c.name + ".qmc");
     mp::SystemConfig save_config = baseConfig(c.pes);
-    save_config.hostThreads = c.saveThreads;
     if (c.topology)
         save_config.setTopology(mp::parseTopology(c.topology));
     // Resume every prefix: the 1st, 2nd, ... snapshot must each warm-
@@ -192,7 +194,7 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
     for (int target = 1; target <= 3; ++target) {
         Surfaces full = runSaving(save_config, path, target);
         mp::SystemConfig resume_config = save_config;
-        resume_config.hostThreads = c.resumeThreads;
+        resume_config.hostDeadlineMs = c.resumeDeadlineMs;
         Surfaces resumed = resumeFrom(resume_config, path);
         expectIdentical(full, resumed);
     }
@@ -202,10 +204,9 @@ TEST_P(DurableResumeTest, ResumeMatchesUninterruptedRun)
 INSTANTIATE_TEST_SUITE_P(
     Topologies, DurableResumeTest,
     ::testing::Values(
-        ResumeCase{"flat_event", nullptr, 4, 1, 1},
-        ResumeCase{"ring4_threads2", "ring:4", 8, 1, 2},
-        ResumeCase{"rings2x2_threads4", "rings:2x2", 8, 1, 4},
-        ResumeCase{"rings2x2_threads4_to_1", "rings:2x2", 8, 4, 1}),
+        ResumeCase{"flat_event", nullptr, 4, 0},
+        ResumeCase{"ring4_resume", "ring:4", 8, 0},
+        ResumeCase{"rings2x2_deadline", "rings:2x2", 8, 600000}),
     [](const ::testing::TestParamInfo<ResumeCase> &info) {
         return info.param.name;
     });
@@ -568,7 +569,7 @@ TEST(SweepJournalTest, ShutdownMarksRemainingSpecsInterrupted)
 }
 
 // ---------------------------------------------------------------------------
-// In-memory snapshot/restore identity (hierarchical + threaded).
+// In-memory snapshot/restore identity (flat and hierarchical).
 // ---------------------------------------------------------------------------
 
 struct RestoreCase
@@ -576,7 +577,6 @@ struct RestoreCase
     const char *name;
     const char *topology;  ///< nullptr = default flat ring.
     int pes;
-    int threads;
 };
 
 class RestoreIdentityTest : public ::testing::TestWithParam<RestoreCase>
@@ -587,7 +587,6 @@ TEST_P(RestoreIdentityTest, ReplayFromCheckpointMatchesOriginal)
 {
     const RestoreCase &c = GetParam();
     mp::SystemConfig config = baseConfig(c.pes);
-    config.hostThreads = c.threads;
     if (c.topology)
         config.setTopology(mp::parseTopology(c.topology));
 
@@ -608,12 +607,10 @@ TEST_P(RestoreIdentityTest, ReplayFromCheckpointMatchesOriginal)
 
 INSTANTIATE_TEST_SUITE_P(
     Topologies, RestoreIdentityTest,
-    ::testing::Values(RestoreCase{"flat", nullptr, 4, 1},
-                      RestoreCase{"flat_threads2", nullptr, 4, 2},
-                      RestoreCase{"ring4_threads2", "ring:4", 8, 2},
-                      RestoreCase{"rings2x2", "rings:2x2", 8, 1},
-                      RestoreCase{"rings2x2_threads4", "rings:2x2", 8, 4},
-                      RestoreCase{"rings4x2_threads2", "rings:4x2", 8, 2}),
+    ::testing::Values(RestoreCase{"flat", nullptr, 4},
+                      RestoreCase{"ring4", "ring:4", 8},
+                      RestoreCase{"rings2x2", "rings:2x2", 8},
+                      RestoreCase{"rings4x2", "rings:4x2", 8}),
     [](const ::testing::TestParamInfo<RestoreCase> &info) {
         return info.param.name;
     });
