@@ -167,7 +167,11 @@ struct System::PeSlot
  */
 struct System::Checkpoint
 {
-    std::vector<std::uint8_t> memory;
+    /**
+     * The memory at the snapshot. Pages no write has touched since the
+     * previous snapshot are shared with it, not copied.
+     */
+    pe::PageImage memory;
     std::vector<Context> contexts;
     std::vector<Addr> freePages;
     Word nextChannel = 2;
@@ -1292,7 +1296,12 @@ System::snapshot()
                   << "\n";
     }
     auto cp = std::make_unique<Checkpoint>();
-    memory_->snapshotTo(cp->memory);
+    // Memory's dirty set is relative to the previous checkpoint's
+    // image (or the all-zero one): start from it and copy only the
+    // pages written since.
+    if (checkpoint_)
+        cp->memory = checkpoint_->memory;
+    memory_->snapshotPages(cp->memory);
     cp->contexts = contexts;
     cp->freePages = freePages;
     cp->nextChannel = nextChannel;
@@ -1354,7 +1363,7 @@ System::restore()
     if (traceEnabled())
         std::cerr << "RESTORE\n";
     const Checkpoint &cp = *checkpoint_;
-    memory_->restoreBytes(cp.memory);
+    memory_->restorePages(cp.memory);
     contexts = cp.contexts;
     freePages = cp.freePages;
     nextChannel = cp.nextChannel;
@@ -1513,7 +1522,7 @@ System::saveCheckpoint(const std::string &path) const
     }
     {
         persist::Encoder enc;
-        persist::encodeSparseMemory(enc, cp.memory);
+        persist::encodePageImage(enc, cp.memory, memory_->size());
         sections.push_back({"MEMS", enc.take()});
     }
     {
@@ -1720,7 +1729,7 @@ System::loadCheckpoint(const std::string &path)
         return missing("MEMS");
     {
         persist::Decoder dec(mems->payload);
-        cp->memory = persist::decodeSparseMemory(dec, memory_->size());
+        cp->memory = persist::decodePageImage(dec, memory_->size());
         if (!dec.ok())
             return bad("MEMS", dec.error());
         if (!dec.atEnd())
@@ -1850,6 +1859,13 @@ System::loadCheckpoint(const std::string &path)
     cp->faults = fstate;
     tracer_.restoreStream(std::move(ts.events), ts.dropped, ts.kindCounts);
     cp->trace = tracer_.mark();
+    // restore() rewrites only dirty pages, relative to the image memory
+    // was last synced to; every page either image holds may differ.
+    if (checkpoint_)
+        for (const auto &[page, bytes] : checkpoint_->memory)
+            memory_->markDirty(page);
+    for (const auto &[page, bytes] : cp->memory)
+        memory_->markDirty(page);
     checkpoint_ = std::move(cp);
     booted = true;
     restore();

@@ -8,7 +8,7 @@ namespace qm::pe {
 
 Memory::Memory(std::size_t bytes)
     : store_(static_cast<std::uint8_t *>(std::calloc(bytes, 1))),
-      size_(bytes)
+      size_(bytes), dirty_((bytes + kPageBytes - 1) / kPageBytes, 0)
 {
     fatalIf(bytes > 0 && !store_,
             "memory allocation of ", bytes, " bytes failed");
@@ -39,6 +39,8 @@ Memory::writeWord(Addr addr, Word value)
     checkWord(addr);
     if (undo_)
         undo_->record(addr, readWord(addr), /*byte=*/false);
+    // Aligned words never straddle a page.
+    markDirty(addr / kPageBytes);
     data_[addr] = static_cast<std::uint8_t>(value);
     data_[addr + 1] = static_cast<std::uint8_t>(value >> 8);
     data_[addr + 2] = static_cast<std::uint8_t>(value >> 16);
@@ -60,6 +62,7 @@ Memory::writeByte(Addr addr, std::uint8_t value)
             "byte access out of bounds at ", addr);
     if (undo_)
         undo_->record(addr, data_[addr], /*byte=*/true);
+    markDirty(addr / kPageBytes);
     data_[addr] = value;
 }
 
@@ -69,6 +72,7 @@ Memory::applyUndo(const UndoLog &undo)
     panicIf(undo.overflowed, "applying an overflowed undo log");
     for (auto it = undo.entries.rbegin(); it != undo.entries.rend();
          ++it) {
+        markDirty(it->addr / kPageBytes);
         if (it->byte)
             data_[it->addr] = static_cast<std::uint8_t>(it->old);
         else {
@@ -85,16 +89,36 @@ Memory::applyUndo(const UndoLog &undo)
 }
 
 void
-Memory::snapshotTo(std::vector<std::uint8_t> &out) const
+Memory::clearDirty()
 {
-    out.assign(data_, data_ + size_);
+    for (std::uint32_t page : dirtyList_)
+        dirty_[page] = 0;
+    dirtyList_.clear();
 }
 
 void
-Memory::restoreBytes(const std::vector<std::uint8_t> &bytes)
+Memory::snapshotPages(PageImage &image)
 {
-    panicIf(bytes.size() != size_, "memory snapshot size mismatch");
-    std::memcpy(data_, bytes.data(), size_);
+    for (std::uint32_t page : dirtyList_) {
+        const std::uint8_t *bytes = data_ + page * kPageBytes;
+        image[page] = std::make_shared<const std::vector<std::uint8_t>>(
+            bytes, bytes + pageLength(size_, page));
+    }
+    clearDirty();
+}
+
+void
+Memory::restorePages(const PageImage &image)
+{
+    for (std::uint32_t page : dirtyList_) {
+        std::uint8_t *bytes = data_ + page * kPageBytes;
+        auto it = image.find(page);
+        if (it == image.end())
+            std::memset(bytes, 0, pageLength(size_, page));
+        else
+            std::memcpy(bytes, it->second->data(), pageLength(size_, page));
+    }
+    clearDirty();
 }
 
 } // namespace qm::pe

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -21,6 +22,33 @@ namespace qm::pe {
 
 using isa::Addr;
 using isa::Word;
+
+/**
+ * Granularity of dirty tracking, checkpoint images and the QMCKPT01
+ * MEMS section. A host-side unit only: it is unrelated to the size of
+ * a context's queue page (SystemConfig::pageWords).
+ */
+constexpr std::size_t kPageBytes = 4096;
+
+/**
+ * Bytes in page @p page of a @p memory_bytes memory: kPageBytes, except
+ * for a short last page when the size is not a kPageBytes multiple.
+ */
+constexpr std::size_t
+pageLength(std::size_t memory_bytes, std::size_t page)
+{
+    std::size_t off = page * kPageBytes;
+    return memory_bytes - off < kPageBytes ? memory_bytes - off : kPageBytes;
+}
+
+/** One page's bytes; immutable once built, so checkpoints share it. */
+using Page = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+/**
+ * A memory image, keyed by page index. A page that is absent reads as
+ * all zeroes; a present one holds pageLength(memory size, index) bytes.
+ */
+using PageImage = std::map<std::size_t, Page>;
 
 /**
  * Bounded store undo log for span restart (see DESIGN.md "Recoverable
@@ -64,7 +92,10 @@ struct UndoLog
     }
 };
 
-/** Flat byte-addressable memory with checked word/byte access. */
+/**
+ * Flat byte-addressable memory with checked word/byte access and
+ * dirty-page tracking for checkpoints.
+ */
 class Memory
 {
   public:
@@ -93,9 +124,40 @@ class Memory
     /** Roll back every write recorded in @p undo (reverse order). */
     void applyUndo(const UndoLog &undo);
 
-    /** Whole-memory snapshot support (System checkpoints). */
-    void snapshotTo(std::vector<std::uint8_t> &out) const;
-    void restoreBytes(const std::vector<std::uint8_t> &bytes);
+    /**
+     * Pages written since the dirty set was last cleared (by
+     * snapshotPages or restorePages), in first-write order. Every write
+     * path marks its page: writeWord, writeByte and applyUndo.
+     */
+    const std::vector<std::uint32_t> &dirtyPages() const
+    {
+        return dirtyList_;
+    }
+
+    /** Mark @p page as differing from the image it was last synced to. */
+    void
+    markDirty(std::size_t page)
+    {
+        if (!dirty_[page]) {
+            dirty_[page] = 1;
+            dirtyList_.push_back(static_cast<std::uint32_t>(page));
+        }
+    }
+
+    /**
+     * Bring @p image, the image this memory was last synced to, up to
+     * date: each dirty page gets a fresh copy, every clean page keeps
+     * the Page it already shares. Clears the dirty set. A memory that
+     * has never been synced is relative to the empty (all-zero) image.
+     */
+    void snapshotPages(PageImage &image);
+
+    /**
+     * Roll memory back to @p image, the image it was last synced to:
+     * only dirty pages are rewritten, and a dirty page the image lacks
+     * is zeroed. Clears the dirty set.
+     */
+    void restorePages(const PageImage &image);
 
     /** Raw backing store (tests/differential comparisons). */
     const std::uint8_t *data() const { return data_; }
@@ -107,11 +169,14 @@ class Memory
     };
 
     void checkWord(Addr addr) const;
+    void clearDirty();
 
     std::unique_ptr<std::uint8_t[], FreeDeleter> store_;
     std::uint8_t *data_ = nullptr;  ///< store_.get(), cached.
     std::size_t size_ = 0;
     UndoLog *undo_ = nullptr;  ///< See setUndoLog.
+    std::vector<std::uint8_t> dirty_;       ///< One flag per page.
+    std::vector<std::uint32_t> dirtyList_;  ///< Indices of set flags.
 };
 
 } // namespace qm::pe

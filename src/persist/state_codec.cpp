@@ -1,6 +1,8 @@
 #include "persist/state_codec.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 
 #include "support/format.hpp"
 
@@ -366,13 +368,13 @@ decodeContext(Decoder &dec)
 
 namespace {
 
-constexpr std::size_t kPageBytes = 4096;
+using pe::kPageBytes;
 
 bool
-pageIsZero(const std::uint8_t *page, std::size_t n)
+pageIsZero(const std::vector<std::uint8_t> &page)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        if (page[i] != 0)
+    for (std::uint8_t b : page)
+        if (b != 0)
             return false;
     return true;
 }
@@ -380,55 +382,65 @@ pageIsZero(const std::uint8_t *page, std::size_t n)
 } // namespace
 
 void
-encodeSparseMemory(Encoder &enc, const std::vector<std::uint8_t> &bytes)
+encodePageImage(Encoder &enc, const pe::PageImage &image, std::size_t size)
 {
-    enc.u64(bytes.size());
+    enc.u64(size);
     std::uint64_t pages = 0;
     // First pass: count non-zero pages, so the decoder knows how many
     // page records follow without a sentinel.
-    for (std::size_t off = 0; off < bytes.size(); off += kPageBytes) {
-        std::size_t n = std::min(kPageBytes, bytes.size() - off);
-        if (!pageIsZero(bytes.data() + off, n))
+    for (const auto &[index, page] : image)
+        if (!pageIsZero(*page))
             ++pages;
-    }
     enc.u64(pages);
-    for (std::size_t off = 0; off < bytes.size(); off += kPageBytes) {
-        std::size_t n = std::min(kPageBytes, bytes.size() - off);
-        if (pageIsZero(bytes.data() + off, n))
+    for (const auto &[index, page] : image) {
+        if (pageIsZero(*page))
             continue;
-        enc.u64(off);
-        enc.blob(bytes.data() + off, n);
+        enc.u64(index * kPageBytes);
+        enc.blob(page->data(), page->size());
     }
 }
 
-std::vector<std::uint8_t>
-decodeSparseMemory(Decoder &dec, std::size_t expected_size)
+pe::PageImage
+decodePageImage(Decoder &dec, std::size_t expected_size)
 {
-    std::vector<std::uint8_t> bytes;
+    pe::PageImage image;
     std::uint64_t size = dec.u64();
     if (!dec.ok())
-        return bytes;
+        return image;
     if (size != expected_size) {
         dec.fail(cat("memory image is ", size, " bytes, this machine has ",
                      expected_size));
-        return bytes;
+        return image;
     }
-    bytes.assign(expected_size, 0);
-    std::uint64_t pages = dec.u64();
-    for (std::uint64_t p = 0; p < pages && dec.ok(); ++p) {
+    // Pages stay mutable until every record has been overlaid.
+    std::map<std::size_t, std::vector<std::uint8_t>> building;
+    std::uint64_t records = dec.u64();
+    for (std::uint64_t r = 0; r < records && dec.ok(); ++r) {
         std::uint64_t off = dec.u64();
-        std::vector<std::uint8_t> page = dec.blob();
+        std::vector<std::uint8_t> bytes = dec.blob();
         if (!dec.ok())
             break;
-        if (off % kPageBytes != 0 || off >= bytes.size() ||
-            page.size() > bytes.size() - off || page.empty()) {
-            dec.fail(cat("memory page at offset ", off, " of ", page.size(),
+        if (off % kPageBytes != 0 || off >= size ||
+            bytes.size() > size - off || bytes.empty()) {
+            dec.fail(cat("memory page at offset ", off, " of ", bytes.size(),
                          " bytes is out of bounds"));
             break;
         }
-        std::memcpy(bytes.data() + off, page.data(), page.size());
+        for (std::size_t pos = 0; pos < bytes.size(); pos += kPageBytes) {
+            std::size_t index = (off + pos) / kPageBytes;
+            std::vector<std::uint8_t> &page = building[index];
+            if (page.empty())
+                page.assign(pe::pageLength(size, index), 0);
+            std::memcpy(page.data(), bytes.data() + pos,
+                        std::min(kPageBytes, bytes.size() - pos));
+        }
     }
-    return bytes;
+    for (auto &[index, page] : building)
+        image.emplace_hint(
+            image.end(), index,
+            std::make_shared<const std::vector<std::uint8_t>>(
+                std::move(page)));
+    return image;
 }
 
 } // namespace qm::persist

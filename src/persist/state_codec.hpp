@@ -18,6 +18,7 @@
 #include "msg/message_cache.hpp"
 #include "mp/ring_bus.hpp"
 #include "mp/system.hpp"
+#include "pe/memory.hpp"
 #include "persist/io.hpp"
 #include "support/stats.hpp"
 #include "trace/trace.hpp"
@@ -51,13 +52,22 @@ void encodeHostOp(Encoder &enc, const mp::HostOp &op);
 mp::HostOp decodeHostOp(Decoder &dec);
 
 /**
- * Sparse memory image: 4 KiB pages that are entirely zero are skipped,
- * so a 32 MiB address space with a small working set persists in a few
- * hundred KiB. Decode fails unless the declared size matches
- * @p expected_size exactly.
+ * Sparse memory image (the MEMS section): the declared size, then one
+ * (offset, bytes) record per page of @p image that is not entirely
+ * zero, in ascending offset order. A 32 MiB address space with a small
+ * working set persists in a few hundred KiB.
  */
-void encodeSparseMemory(Encoder &enc, const std::vector<std::uint8_t> &bytes);
-std::vector<std::uint8_t> decodeSparseMemory(Decoder &dec,
-                                             std::size_t expected_size);
+void encodePageImage(Encoder &enc, const pe::PageImage &image,
+                     std::size_t size);
+
+/**
+ * Decode a MEMS payload into a page image. Fails unless the declared
+ * size matches @p expected_size exactly and every record is
+ * page-aligned, non-empty and in bounds. Records apply in order as
+ * byte overlays on a zeroed memory: one may span several pages or
+ * cover only the front of one, and a later record overwrites the bytes
+ * an earlier one wrote.
+ */
+pe::PageImage decodePageImage(Decoder &dec, std::size_t expected_size);
 
 } // namespace qm::persist

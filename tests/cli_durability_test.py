@@ -7,6 +7,7 @@ Asserts:
     failure 5, fatal 6, interrupted 128+signo);
   * occamc --checkpoint-file / --resume byte-identity on stdout,
     and the corrupt-checkpoint cold-start fallback;
+  * pinned SHA-256s of the QMCKPT01 files two fault plans leave;
   * the flight recorder: every failure class leaves a parseable
     qm.flight.v1 black box, clean runs leave none, --flight off
     suppresses it;
@@ -19,6 +20,7 @@ Asserts:
 Usage: cli_durability_test.py OCCAMC SOURCE_DIR QMPROF
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -179,6 +181,29 @@ def main():
     check("checkpoint boundary persists a flight dump",
           flight is not None and flight.get("schema") == "qm.flight.v1"
           and flight.get("reason") == "checkpoint")
+
+    # --- QMCKPT01 byte identity ----------------------------------------
+    # Hashes of the file written by the dense-memory checkpoint code;
+    # the shared page image must reproduce it byte for byte.
+    pinned = {
+        "seed=42,rate=0.05,kinds=drop+dup+delay+stall":
+            "95351b560cf7a8930d302eee14c387d0"
+            "17a41da34312eb4bbb35a600bd7216c7",
+        "seed=3,rate=0.5,kinds=drop,retries=1":
+            "e7b49935eb14ad432f8d832c76880abd"
+            "68fdef0b01e8214f198a8fe7cf7520d2",
+    }
+    for plan, want in pinned.items():
+        pinned_ckpt = path("pinned.qmc")
+        p = run([occamc, "--run", "--pes", "4", "--recover",
+                 "--checkpoint-every", "150", "--checkpoint-file",
+                 pinned_ckpt, "--faults", plan, pipeline])
+        with open(pinned_ckpt, "rb") as f:
+            got = hashlib.sha256(f.read()).hexdigest()
+        check(f"checkpoint file is byte-identical under {plan}",
+              p.returncode == 0 and got == want,
+              f"rc={p.returncode} sha256={got}")
+        os.remove(pinned_ckpt)
 
     # --- metrics byte-identity across resume --------------------------
     metrics = path("metrics.json")

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/assembler.hpp"
 #include "pe/memory.hpp"
 #include "pe/pe.hpp"
@@ -71,6 +74,101 @@ TEST(Memory, ChecksAlignmentAndBounds)
     EXPECT_THROW(memory.readWord(2), FatalError);
     EXPECT_THROW(memory.readWord(64), FatalError);
     EXPECT_THROW(memory.readByte(64), FatalError);
+}
+
+using Pages = std::vector<std::uint32_t>;
+
+TEST(Memory, EveryWritePathMarksItsPage)
+{
+    Memory memory(4 * kPageBytes);
+    EXPECT_TRUE(memory.dirtyPages().empty());
+    memory.writeWord(kPageBytes + 8, 1);
+    EXPECT_EQ(memory.dirtyPages(), (Pages{1}));
+    memory.writeWord(kPageBytes + 12, 2);  // same page: listed once
+    EXPECT_EQ(memory.dirtyPages(), (Pages{1}));
+    memory.writeByte(3 * kPageBytes + 1, 3);
+    EXPECT_EQ(memory.dirtyPages(), (Pages{1, 3}));
+
+    UndoLog undo;
+    memory.setUndoLog(&undo);
+    memory.writeWord(2 * kPageBytes, 7);
+    memory.writeByte(5, 9);
+    memory.setUndoLog(nullptr);
+    PageImage image;
+    memory.snapshotPages(image);
+    EXPECT_TRUE(memory.dirtyPages().empty());
+    // Rolled back newest first: the byte on page 0, then the word.
+    memory.applyUndo(undo);
+    EXPECT_EQ(memory.dirtyPages(), (Pages{0, 2}));
+    EXPECT_EQ(memory.readWord(2 * kPageBytes), 0u);
+}
+
+TEST(Memory, SnapshotWithoutWritesSharesEveryPage)
+{
+    Memory memory(64 * kPageBytes);
+    for (Addr page : {0u, 5u, 63u})
+        memory.writeWord(page * kPageBytes, page + 1);
+    PageImage first;
+    memory.snapshotPages(first);
+    ASSERT_EQ(first.size(), 3u);
+
+    PageImage second = first;
+    memory.snapshotPages(second);
+    ASSERT_EQ(second.size(), 3u);
+    for (const auto &[page, bytes] : first)
+        EXPECT_EQ(second.at(page).get(), bytes.get()) << "page " << page;
+
+    // One write copies only its own page; the older image keeps the
+    // bytes it captured.
+    memory.writeByte(5 * kPageBytes + 1, 0x7f);
+    PageImage third = second;
+    memory.snapshotPages(third);
+    EXPECT_NE(third.at(5).get(), second.at(5).get());
+    EXPECT_EQ(third.at(0).get(), second.at(0).get());
+    EXPECT_EQ(third.at(63).get(), second.at(63).get());
+    EXPECT_EQ((*second.at(5))[1], 0);
+    EXPECT_EQ((*third.at(5))[1], 0x7f);
+}
+
+TEST(Memory, RestoreRewritesDirtyPagesAndZeroesFreshOnes)
+{
+    Memory memory(16 * kPageBytes);
+    memory.writeWord(2 * kPageBytes, 0x11111111);
+    memory.writeWord(7 * kPageBytes + 40, 0x2222);
+    PageImage image;
+    memory.snapshotPages(image);
+    std::vector<std::uint8_t> dense(memory.data(),
+                                    memory.data() + memory.size());
+
+    memory.writeWord(2 * kPageBytes + 4, 0x33);  // a page the image holds
+    memory.writeByte(9 * kPageBytes + 5, 0x44);  // first touch of a page
+    ASSERT_EQ(image.count(9), 0u);
+    memory.restorePages(image);
+    EXPECT_TRUE(memory.dirtyPages().empty());
+    EXPECT_TRUE(std::equal(dense.begin(), dense.end(), memory.data()));
+    EXPECT_EQ(memory.readByte(9 * kPageBytes + 5), 0);
+}
+
+TEST(Memory, ShortLastPage)
+{
+    Memory memory(2 * kPageBytes + 100);
+    EXPECT_EQ(pageLength(memory.size(), 1), kPageBytes);
+    EXPECT_EQ(pageLength(memory.size(), 2), 100u);
+    const Addr last = 2 * kPageBytes + 96;
+    memory.writeWord(last, 0xaabbccdd);
+    EXPECT_EQ(memory.dirtyPages(), (Pages{2}));
+    PageImage image;
+    memory.snapshotPages(image);
+    ASSERT_EQ(image.at(2)->size(), 100u);
+
+    memory.writeByte(last + 3, 1);
+    memory.restorePages(image);
+    EXPECT_EQ(memory.readWord(last), 0xaabbccddu);
+
+    // Zeroing a short page that an image lacks stays inside memory.
+    memory.writeByte(last, 5);
+    memory.restorePages(PageImage{});
+    EXPECT_EQ(memory.readWord(last), 0u);
 }
 
 TEST(Pom, PageSizeEncoding)

@@ -4,9 +4,10 @@
  * across topologies and fault injection; a
  * corrupt-checkpoint fuzzer (bit flips and truncations must be
  * detected and refused with a structured error, never a crash or a
- * silently-wrong resume); the sweep completion journal (replay
- * identity, torn tails, fingerprint mismatch); and in-memory
- * snapshot/restore identity under flat and hierarchical topologies.
+ * silently-wrong resume); the MEMS page-image codec; the sweep
+ * completion journal (replay identity, torn tails, fingerprint
+ * mismatch); and in-memory snapshot/restore identity under flat and
+ * hierarchical topologies.
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include "fault/fault.hpp"
 #include "mp/system.hpp"
 #include "occam/compiler.hpp"
+#include "pe/memory.hpp"
 #include "persist/io.hpp"
+#include "persist/state_codec.hpp"
 #include "sim/experiment.hpp"
 #include "sim/journal.hpp"
 #include "support/shutdown.hpp"
@@ -82,7 +85,8 @@ capture(mp::System &system, const mp::RunResult &result)
     s.result = result;
     s.stats = system.stats().render();
     s.trace = trace::chromeTraceJson(system.tracer());
-    system.memory().snapshotTo(s.memory);
+    const pe::Memory &memory = system.memory();
+    s.memory.assign(memory.data(), memory.data() + memory.size());
     return s;
 }
 
@@ -249,6 +253,62 @@ TEST(DurableResumeTest, RetainedSnapshotSavedAfterRunResumesIdentically)
     std::remove(path.c_str());
 }
 
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    persist::Status st = persist::readFile(path, bytes);
+    EXPECT_TRUE(st.ok()) << st.toString();
+    return bytes;
+}
+
+TEST(DurableResumeTest, SaveLoadSaveIsByteIdentical)
+{
+    // A loaded checkpoint re-saves to the very bytes it was read from:
+    // the page image decoded from MEMS is the one the next save writes.
+    std::string first = tempPath("resave_first.qmc");
+    std::string second = tempPath("resave_second.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    config.faultPlan =
+        fault::parseFaultPlan("seed=42,rate=0.01,kinds=drop+delay");
+    runSaving(config, first, 2);
+
+    const occam::CompiledProgram &program = pipelineProgram();
+    mp::System system(program.object, config);
+    persist::Status st = system.loadCheckpoint(first);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    st = system.saveCheckpoint(second);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    EXPECT_EQ(readBytes(first), readBytes(second));
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+}
+
+TEST(DurableResumeTest, LoadReplacesMemoryWrittenBeforeIt)
+{
+    // Memory written before loadCheckpoint, with or without a snapshot
+    // in between, must read as the file says once the load is done.
+    std::string path = tempPath("resume_prewritten.qmc");
+    mp::SystemConfig config = baseConfig(4);
+    Surfaces full = runSaving(config, path, 2);
+    const isa::Addr stray =
+        static_cast<isa::Addr>(config.memoryBytes - 4);  // never used
+    const occam::CompiledProgram &program = pipelineProgram();
+    for (bool snapshot_first : {false, true}) {
+        mp::System system(program.object, config);
+        system.memory().writeWord(stray, 0xdeadbeef);
+        if (snapshot_first)
+            system.snapshot();
+        persist::Status st = system.loadCheckpoint(path);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        EXPECT_EQ(system.memory().readWord(stray), 0u) << snapshot_first;
+        mp::RunResult result = system.resume();
+        ASSERT_TRUE(result.completed) << result.failureReason;
+        expectIdentical(full, capture(system, result));
+    }
+    std::remove(path.c_str());
+}
+
 TEST(DurableResumeTest, MismatchedConfigRefused)
 {
     std::string path = tempPath("resume_mismatch.qmc");
@@ -367,6 +427,171 @@ TEST(CorruptCheckpointTest, MissingFileIsIoError)
     persist::Status st =
         system.loadCheckpoint(tempPath("does_not_exist.qmc"));
     EXPECT_EQ(st.code, persist::ErrCode::Io);
+}
+
+// ---------------------------------------------------------------------------
+// MEMS page-image codec. The decoder builds pages, not a dense buffer,
+// yet must read every payload exactly as copying each record over
+// zeroed memory in file order would: same memory or same rejection.
+// ---------------------------------------------------------------------------
+
+using pe::kPageBytes;
+
+/** Four full pages and a short fifth one. */
+constexpr std::size_t kMemBytes = 4 * kPageBytes + 100;
+
+struct MemRecord
+{
+    std::uint64_t offset;
+    std::vector<std::uint8_t> bytes;
+};
+
+std::vector<std::uint8_t>
+memsPayload(std::size_t size, const std::vector<MemRecord> &records)
+{
+    persist::Encoder enc;
+    enc.u64(size);
+    enc.u64(records.size());
+    for (const MemRecord &r : records) {
+        enc.u64(r.offset);
+        enc.blob(r.bytes.data(), r.bytes.size());
+    }
+    return enc.take();
+}
+
+/** The dense reading: each record copied over zeroed memory in order. */
+std::vector<std::uint8_t>
+denseReading(const std::vector<MemRecord> &records)
+{
+    std::vector<std::uint8_t> dense(kMemBytes, 0);
+    for (const MemRecord &r : records)
+        std::copy(r.bytes.begin(), r.bytes.end(),
+                  dense.begin() + static_cast<std::ptrdiff_t>(r.offset));
+    return dense;
+}
+
+std::vector<std::uint8_t>
+flatten(const pe::PageImage &image)
+{
+    std::vector<std::uint8_t> dense(kMemBytes, 0);
+    for (const auto &[page, bytes] : image) {
+        std::size_t off = page * kPageBytes;
+        EXPECT_EQ(bytes->size(), pe::pageLength(kMemBytes, page))
+            << "page " << page;
+        std::copy(bytes->begin(), bytes->end(),
+                  dense.begin() + static_cast<std::ptrdiff_t>(off));
+    }
+    return dense;
+}
+
+std::vector<std::uint8_t>
+pattern(std::size_t n, unsigned seed)
+{
+    std::vector<std::uint8_t> bytes(n);
+    for (std::size_t i = 0; i < n; ++i)
+        bytes[i] = static_cast<std::uint8_t>(1 + (i * 7 + seed) % 255);
+    return bytes;
+}
+
+pe::PageImage
+decodeMems(const std::vector<MemRecord> &records)
+{
+    std::vector<std::uint8_t> payload = memsPayload(kMemBytes, records);
+    persist::Decoder dec(payload);
+    pe::PageImage image = persist::decodePageImage(dec, kMemBytes);
+    EXPECT_TRUE(dec.ok()) << dec.error();
+    EXPECT_TRUE(dec.atEnd());
+    return image;
+}
+
+void
+expectDenseReading(const std::vector<MemRecord> &records)
+{
+    EXPECT_EQ(flatten(decodeMems(records)), denseReading(records));
+}
+
+TEST(PageImageCodecTest, RecordLongerThanAPageSplitsAcrossPages)
+{
+    expectDenseReading({{kPageBytes, pattern(kPageBytes + 300, 1)}});
+    // Through to the end of memory, short last page included.
+    expectDenseReading({{2 * kPageBytes, pattern(2 * kPageBytes + 100, 2)}});
+}
+
+TEST(PageImageCodecTest, ShortRecordOverlaysZeros)
+{
+    expectDenseReading({{0, pattern(10, 3)}});
+    expectDenseReading({{4 * kPageBytes, pattern(7, 4)}});
+}
+
+TEST(PageImageCodecTest, DuplicateOffsetsLastRecordWins)
+{
+    expectDenseReading({{0, pattern(kPageBytes, 5)},
+                        {0, pattern(kPageBytes, 6)}});
+    // A shorter later record overwrites only the bytes it carries,
+    // also on a page an earlier record spilled into.
+    expectDenseReading({{kPageBytes, pattern(kPageBytes, 7)},
+                        {kPageBytes, pattern(10, 8)}});
+    expectDenseReading({{0, pattern(2 * kPageBytes, 9)},
+                        {kPageBytes, pattern(20, 10)}});
+}
+
+TEST(PageImageCodecTest, AllZeroRecordIsAcceptedAndNotRewritten)
+{
+    std::vector<MemRecord> records = {
+        {3 * kPageBytes, std::vector<std::uint8_t>(kPageBytes, 0)}};
+    expectDenseReading(records);
+    persist::Encoder enc;
+    persist::encodePageImage(enc, decodeMems(records), kMemBytes);
+    EXPECT_EQ(enc.bytes(), memsPayload(kMemBytes, {}));
+}
+
+TEST(PageImageCodecTest, EncodesNonZeroPagesInOffsetOrder)
+{
+    pe::Memory memory(kMemBytes);
+    memory.writeByte(4 * kPageBytes + 99, 0x5a);  // short last page
+    memory.writeWord(kPageBytes, 0x01020304);
+    memory.writeWord(3 * kPageBytes, 1);
+    memory.writeWord(3 * kPageBytes, 0);  // dirty, but all zero again
+    pe::PageImage image;
+    memory.snapshotPages(image);
+    ASSERT_EQ(image.size(), 3u);
+
+    std::vector<std::uint8_t> page1(kPageBytes, 0);
+    page1[0] = 0x04;
+    page1[1] = 0x03;
+    page1[2] = 0x02;
+    page1[3] = 0x01;
+    std::vector<std::uint8_t> page4(100, 0);
+    page4[99] = 0x5a;
+    persist::Encoder enc;
+    persist::encodePageImage(enc, image, kMemBytes);
+    EXPECT_EQ(enc.bytes(), memsPayload(kMemBytes, {{kPageBytes, page1},
+                                                   {4 * kPageBytes, page4}}));
+}
+
+TEST(PageImageCodecTest, RejectsMalformedRecords)
+{
+    const std::vector<std::vector<MemRecord>> bad = {
+        {{1, pattern(4, 1)}},                 // misaligned
+        {{5 * kPageBytes, pattern(4, 2)}},    // past the end
+        {{4 * kPageBytes, pattern(101, 3)}},  // overruns the end
+        {{kPageBytes, {}}},                   // empty
+        {{0, pattern(4, 4)}, {kPageBytes + 8, pattern(4, 5)}},
+    };
+    for (const std::vector<MemRecord> &records : bad) {
+        std::vector<std::uint8_t> payload = memsPayload(kMemBytes, records);
+        persist::Decoder dec(payload);
+        persist::decodePageImage(dec, kMemBytes);
+        EXPECT_FALSE(dec.ok());
+        EXPECT_NE(dec.error().find("out of bounds"), std::string::npos)
+            << dec.error();
+    }
+    std::vector<std::uint8_t> payload = memsPayload(kMemBytes + 4, {});
+    persist::Decoder dec(payload);
+    persist::decodePageImage(dec, kMemBytes);
+    EXPECT_FALSE(dec.ok());
+    EXPECT_NE(dec.error().find("memory image is"), std::string::npos)
+        << dec.error();
 }
 
 // ---------------------------------------------------------------------------
