@@ -2,10 +2,13 @@
  * @file
  * Host-side performance of the simulator itself (google-benchmark):
  * instruction throughput of a single PE, whole-system simulation rate,
- * and compiler throughput. Not a thesis experiment - this guards the
- * usability of the reproduction.
+ * compiler throughput, and the host cost of one checkpoint snapshot.
+ * Not a thesis experiment - this guards the usability of the
+ * reproduction.
  */
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "isa/assembler.hpp"
 #include "mp/system.hpp"
@@ -101,6 +104,44 @@ BM_SimCyclesEvent(benchmark::State &state)
 }
 BENCHMARK(BM_SimCyclesEvent)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
+
+/**
+ * What a checkpoint costs: System::snapshot() on a machine stopped
+ * mid-run, shaped like qmbench's recover-4pe workload (the n=6 matmul
+ * on 4 PEs with a snapshot every 500 cycles). Each snapshot replaces
+ * the previous one, so an iteration pays for copying the machine state
+ * and for freeing the copy it replaces, as an in-run snapshot does.
+ * The us_per_snapshot counter is the mean host time of one snapshot.
+ */
+void
+BM_CheckpointSnapshot(benchmark::State &state)
+{
+    occam::CompiledProgram program =
+        occam::compileOccam(programs::matmulSource());
+    mp::SystemConfig config;
+    config.numPes = 4;
+    config.recovery.enabled = true;
+    config.recovery.checkpointEvery = 500;
+    mp::System system(program.object, config);
+    // About half of the run's 33 k simulated cycles: the message cache
+    // holds some 300 channel entries by then.
+    mp::RunResult result = system.run(program.mainLabel, 16000);
+    if (result.completed) {
+        state.SkipWithError("the run finished before the snapshot point");
+        return;
+    }
+    double total_us = 0;
+    for (auto _ : state) {
+        auto start = std::chrono::steady_clock::now();
+        system.snapshot();
+        total_us += std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    }
+    state.counters["us_per_snapshot"] =
+        benchmark::Counter(total_us, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CheckpointSnapshot)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

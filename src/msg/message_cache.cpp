@@ -1,8 +1,34 @@
 #include "msg/message_cache.hpp"
 
+#include <algorithm>
+
 #include "support/diagnostics.hpp"
 
 namespace qm::msg {
+
+namespace {
+
+/** First entry of @p table whose channel id is not below @p channel. */
+template <typename Table>
+auto
+lowerBound(Table &table, Word channel)
+{
+    return std::lower_bound(
+        table.begin(), table.end(), channel,
+        [](const auto &entry, Word id) { return entry.first < id; });
+}
+
+/** Remove and return the oldest element of a channel FIFO. */
+template <typename T>
+T
+popFront(std::vector<T> &fifo)
+{
+    T oldest = fifo.front();
+    fifo.erase(fifo.begin());
+    return oldest;
+}
+
+} // namespace
 
 std::string
 toString(ChannelState state)
@@ -28,11 +54,24 @@ MessageCache::MessageCache(int capacity) : capacity_(capacity)
     fatalIf(capacity < 1, "message cache capacity must be >= 1");
 }
 
+ChannelEntry &
+MessageCache::slot(Word channel)
+{
+    if (entries.empty() || entries.back().first < channel)
+        return entries.emplace_back(channel, ChannelEntry{}).second;
+    // The last id is not below @p channel, so the search stops on an
+    // entry: @p channel's own, or the one to insert before.
+    auto it = lowerBound(entries, channel);
+    if (it->first != channel)
+        it = entries.emplace(it, channel, ChannelEntry{});
+    return it->second;
+}
+
 ChannelOp
 MessageCache::send(Word channel, CtxId ctx, Word value,
                    trace::Cycle now)
 {
-    ChannelEntry &entry = entries[channel];
+    ChannelEntry &entry = slot(channel);
     ChannelOp op;
     counterSlot(counters_.sendRequests, "msg.send_requests") += 1;
     if (static_cast<int>(entry.values.size()) >= capacity_) {
@@ -70,17 +109,15 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
         }
     }
     op.completed = true;
-    if (!entry.recvWaiters.empty()) {
-        op.wakes.push_back(entry.recvWaiters.front());
-        entry.recvWaiters.pop_front();
-    }
+    if (!entry.recvWaiters.empty())
+        op.wakes.push_back(popFront(entry.recvWaiters));
     return op;
 }
 
 ChannelOp
 MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
 {
-    ChannelEntry &entry = entries[channel];
+    ChannelEntry &entry = slot(channel);
     ChannelOp op;
     counterSlot(counters_.recvRequests, "msg.recv_requests") += 1;
     if (entry.values.empty()) {
@@ -88,8 +125,7 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
         op.blocked = true;
         return op;
     }
-    Token token = entry.values.front();
-    entry.values.pop_front();
+    Token token = popFront(entry.values);
     op.completed = true;
     op.value = token.value;
     if (faults_ && tokenChecksum(token.value) != token.sum) {
@@ -123,22 +159,20 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
                     : 0);
     if (tracer_)
         tracer_->rendezvous(now, channel, ctx, *op.value);
-    if (!entry.sendWaiters.empty()) {
-        op.wakes.push_back(entry.sendWaiters.front());
-        entry.sendWaiters.pop_front();
-    }
+    if (!entry.sendWaiters.empty())
+        op.wakes.push_back(popFront(entry.sendWaiters));
     return op;
 }
 
 ChannelState
 MessageCache::state(Word channel) const
 {
-    auto it = entries.find(channel);
-    if (it == entries.end())
+    const ChannelEntry *e = entry(channel);
+    if (e == nullptr)
         return ChannelState::Idle;
-    if (!it->second.values.empty())
+    if (!e->values.empty())
         return ChannelState::Full;
-    if (!it->second.recvWaiters.empty())
+    if (!e->recvWaiters.empty())
         return ChannelState::RecvWait;
     return ChannelState::Idle;
 }
@@ -146,8 +180,9 @@ MessageCache::state(Word channel) const
 const ChannelEntry *
 MessageCache::entry(Word channel) const
 {
-    auto it = entries.find(channel);
-    return it == entries.end() ? nullptr : &it->second;
+    auto it = lowerBound(entries, channel);
+    return it == entries.end() || it->first != channel ? nullptr
+                                                       : &it->second;
 }
 
 std::size_t

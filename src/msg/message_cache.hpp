@@ -25,10 +25,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -91,14 +90,26 @@ struct Token
 /** XOR-folded byte checksum; detects any single-bit flip. */
 std::uint8_t tokenChecksum(Word value);
 
-/** One channel's protocol entry (Fig 5.15 format). */
+/**
+ * One channel's protocol entry (Fig 5.15 format). Each FIFO is a
+ * vector popped from the front: it holds at most the cache's capacity
+ * in tokens, or the few contexts parked on one channel, so the shift
+ * is short, and an empty one copies without allocating.
+ */
 struct ChannelEntry
 {
-    std::deque<Token> values;      ///< In-flight tokens, oldest first.
-    std::deque<CtxId> sendWaiters; ///< Parked senders (FIFO full).
-    std::deque<CtxId> recvWaiters; ///< Parked receivers (FIFO empty).
-    std::uint64_t nextSeq = 0;     ///< Send-side sequence counter.
+    std::vector<Token> values;      ///< In-flight tokens, oldest first.
+    std::vector<CtxId> sendWaiters; ///< Parked senders (FIFO full).
+    std::vector<CtxId> recvWaiters; ///< Parked receivers (FIFO empty).
+    std::uint64_t nextSeq = 0;      ///< Send-side sequence counter.
 };
+
+/**
+ * The channel table: one entry per channel ever touched, sorted by
+ * channel id. Entries are never erased, and the kernel hands out ids
+ * in ascending order, so a new entry is almost always appended.
+ */
+using ChannelTable = std::vector<std::pair<Word, ChannelEntry>>;
 
 /**
  * The message cache: channel-id -> protocol entry, with the transition
@@ -168,10 +179,13 @@ class MessageCache
         recovery_ = recovery;
     }
 
-    /** Deep-copyable protocol state for System checkpoints. */
+    /**
+     * Protocol state for System checkpoints. Copying the table is one
+     * vector copy: only non-empty FIFOs allocate.
+     */
     struct Snapshot
     {
-        std::map<Word, ChannelEntry> entries;
+        ChannelTable entries;
         StatSet stats;
     };
 
@@ -193,6 +207,9 @@ class MessageCache
     }
 
   private:
+    /** The entry for @p channel, inserted in id order if new. */
+    ChannelEntry &slot(Word channel);
+
     bool recoveryOn() const
     {
         return recovery_ != nullptr && recovery_->enabled;
@@ -232,7 +249,7 @@ class MessageCache
     }
 
     int capacity_;
-    std::map<Word, ChannelEntry> entries;
+    ChannelTable entries;
     StatSet stats_;
     CounterHandles counters_;
     HistogramHandles histograms_;

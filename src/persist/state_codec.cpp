@@ -221,8 +221,21 @@ decodeCacheSnapshot(Decoder &dec)
         for (std::size_t r = 0; r < recvs && dec.ok(); ++r)
             entry.recvWaiters.push_back(dec.u32());
         if (dec.ok())
-            snap.entries.emplace(channel, std::move(entry));
+            snap.entries.emplace_back(channel, std::move(entry));
     }
+    // The table is sorted by channel id. A writer emits ascending ids,
+    // but a file may hold them in any order: sort them, and keep the
+    // first record of a repeated channel.
+    auto byChannel = [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    };
+    std::stable_sort(snap.entries.begin(), snap.entries.end(), byChannel);
+    snap.entries.erase(
+        std::unique(snap.entries.begin(), snap.entries.end(),
+                    [](const auto &a, const auto &b) {
+                        return a.first == b.first;
+                    }),
+        snap.entries.end());
     snap.stats = decodeStatSet(dec);
     return snap;
 }

@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "msg/message_cache.hpp"
@@ -169,6 +170,166 @@ TEST(MessageCache, AllReachableStatesAreAccessible)
     EXPECT_TRUE(seen.count(ChannelState::Full));
     EXPECT_TRUE(seen.count(ChannelState::RecvWait));
     EXPECT_EQ(seen.size(), 3u);
+}
+
+TEST(MessageCache, ChannelsTouchedOutOfIdOrderAreAllFound)
+{
+    MessageCache cache;
+    cache.send(10, kSender, 100);
+    cache.recv(4, kReceiver);
+    cache.send(7, kSender, 70);
+    cache.recv(7, kReceiver);
+    EXPECT_EQ(cache.state(10), ChannelState::Full);
+    EXPECT_EQ(cache.state(4), ChannelState::RecvWait);
+    EXPECT_EQ(cache.state(7), ChannelState::Idle);
+    EXPECT_EQ(cache.state(5), ChannelState::Idle);
+    ASSERT_NE(cache.entry(10), nullptr);
+    EXPECT_EQ(cache.entry(10)->values.front().value, 100u);
+    ASSERT_NE(cache.entry(4), nullptr);
+    EXPECT_EQ(cache.entry(4)->recvWaiters.front(), kReceiver);
+    ASSERT_NE(cache.entry(7), nullptr);
+    EXPECT_EQ(cache.entry(7)->nextSeq, 1u);
+    EXPECT_EQ(cache.entry(5), nullptr);
+    EXPECT_EQ(cache.pendingChannels(), 2u);
+}
+
+TEST(MessageCache, FifoOrderHoldsAcrossFillDrainCycles)
+{
+    // Fill to capacity, park a sender, then drain part-way and refill
+    // many times: values leave in send order and parked senders wake
+    // in arrival order.
+    constexpr std::size_t kCapacity = 4;
+    MessageCache cache(static_cast<int>(kCapacity));
+    Word next_send = 0;
+    Word next_recv = 0;
+    std::size_t held = 0;
+    for (int cycle = 0; cycle < 200; ++cycle) {
+        for (; held < kCapacity; ++held)
+            ASSERT_TRUE(cache.send(3, kSender, next_send++).completed);
+        EXPECT_TRUE(cache.send(3, kThird, next_send).blocked);
+        std::size_t drain = 1 + static_cast<std::size_t>(cycle) % kCapacity;
+        for (std::size_t i = 0; i < drain; ++i) {
+            ChannelOp r = cache.recv(3, kReceiver);
+            ASSERT_TRUE(r.completed);
+            EXPECT_EQ(*r.value, next_recv++);
+            ASSERT_EQ(r.wakes.size(), i == 0 ? 1u : 0u);
+        }
+        held -= drain;
+        ASSERT_EQ(cache.entry(3)->values.size(), held);
+        // The parked sender retries with the value that blocked.
+        ASSERT_TRUE(cache.send(3, kThird, next_send++).completed);
+        ++held;
+    }
+    while (cache.state(3) == ChannelState::Full)
+        EXPECT_EQ(*cache.recv(3, kReceiver).value, next_recv++);
+    EXPECT_EQ(next_recv, next_send);
+    EXPECT_TRUE(cache.entry(3)->sendWaiters.empty());
+
+    // Parked receivers, overlapping rounds: each deposit wakes the
+    // longest-parked one.
+    CtxId next_park = 100;
+    CtxId next_wake = 100;
+    for (int round = 0; round < 200; ++round) {
+        for (int i = 0; i < 1 + round % 3; ++i)
+            EXPECT_TRUE(cache.recv(3, next_park++).blocked);
+        ChannelOp s = cache.send(3, kSender, 0);
+        ASSERT_EQ(s.wakes.size(), 1u);
+        EXPECT_EQ(s.wakes[0], next_wake++);
+        EXPECT_TRUE(cache.recv(3, s.wakes[0]).completed);
+    }
+    EXPECT_EQ(cache.entry(3)->recvWaiters.size(),
+              static_cast<std::size_t>(next_park - next_wake));
+    EXPECT_EQ(cache.entry(3)->recvWaiters.front(), next_wake);
+}
+
+TEST(MessageCache, SnapshotIsUntouchedByLaterRequests)
+{
+    MessageCache cache(2);
+    cache.send(6, kSender, 60);
+    cache.recv(8, kReceiver);
+    MessageCache::Snapshot snap = cache.snapshot();
+
+    cache.send(6, kSender, 61);
+    cache.send(6, kThird, 62);  // parks
+    cache.send(8, kSender, 80);
+    cache.recv(2, kReceiver);
+
+    ASSERT_EQ(snap.entries.size(), 2u);
+    const auto &[first_id, first] = *snap.entries.begin();
+    EXPECT_EQ(first_id, 6u);
+    ASSERT_EQ(first.values.size(), 1u);
+    EXPECT_EQ(first.values.front().value, 60u);
+    EXPECT_TRUE(first.sendWaiters.empty());
+    EXPECT_EQ(first.nextSeq, 1u);
+    const auto &[last_id, last] = *std::next(snap.entries.begin());
+    EXPECT_EQ(last_id, 8u);
+    EXPECT_TRUE(last.values.empty());
+    ASSERT_EQ(last.recvWaiters.size(), 1u);
+    EXPECT_EQ(snap.stats.counter("msg.send_requests"), 1u);
+    EXPECT_EQ(snap.stats.counter("msg.recv_requests"), 1u);
+}
+
+TEST(MessageCache, RestoreReturnsToTheSnapshot)
+{
+    MessageCache cache(2);
+    cache.send(6, kSender, 60);
+    cache.send(6, kSender, 61);
+    cache.send(6, kThird, 62);  // parks: the FIFO is full
+    cache.recv(8, kReceiver);   // parks: nothing to take
+    MessageCache::Snapshot snap = cache.snapshot();
+
+    cache.recv(6, kReceiver);
+    cache.send(8, kSender, 80);
+    cache.send(12, kSender, 120);  // first touched after the snapshot
+    cache.recv(1, kReceiver);      // likewise
+    cache.restore(snap);
+
+    EXPECT_EQ(cache.entry(12), nullptr);
+    EXPECT_EQ(cache.entry(1), nullptr);
+    EXPECT_EQ(cache.state(6), ChannelState::Full);
+    EXPECT_EQ(cache.state(8), ChannelState::RecvWait);
+    EXPECT_EQ(cache.pendingChannels(), 2u);
+    const ChannelEntry *six = cache.entry(6);
+    ASSERT_NE(six, nullptr);
+    EXPECT_EQ(six->nextSeq, 2u);
+    ASSERT_EQ(six->sendWaiters.size(), 1u);
+    EXPECT_EQ(six->sendWaiters.front(), kThird);
+    EXPECT_EQ(cache.stats().counter("msg.send_requests"), 3u);
+    EXPECT_EQ(cache.stats().counter("msg.recv_requests"), 1u);
+    EXPECT_EQ(cache.stats().counter("msg.rendezvous"), 0u);
+
+    // The restored tokens drain in order and wake the restored waiter.
+    ChannelOp r = cache.recv(6, kReceiver);
+    EXPECT_EQ(*r.value, 60u);
+    ASSERT_EQ(r.wakes.size(), 1u);
+    EXPECT_EQ(r.wakes[0], kThird);
+    EXPECT_EQ(*cache.recv(6, kReceiver).value, 61u);
+    ChannelOp s = cache.send(8, kSender, 81);
+    ASSERT_EQ(s.wakes.size(), 1u);
+    EXPECT_EQ(s.wakes[0], kReceiver);
+    EXPECT_EQ(cache.entry(8)->values.front().seq, 0u);
+}
+
+TEST(MessageCache, SendAfterRestoreCountsIntoTheRestoredStats)
+{
+    // The hot-path counters are cached slot pointers into the stat
+    // map; restore() replaces the map, so the next send must count into
+    // the restored one, not through a stale handle.
+    MessageCache cache;
+    cache.send(5, kSender, 1);
+    MessageCache::Snapshot snap = cache.snapshot();
+    cache.send(5, kSender, 2);
+    cache.send(5, kSender, 3);
+    EXPECT_EQ(cache.stats().counter("msg.send_requests"), 3u);
+
+    cache.restore(snap);
+    EXPECT_EQ(cache.stats().counter("msg.send_requests"), 1u);
+    cache.send(5, kSender, 4);
+    EXPECT_EQ(cache.stats().counter("msg.send_requests"), 2u);
+    cache.recv(5, kReceiver);
+    EXPECT_EQ(cache.stats().counter("msg.recv_requests"), 1u);
+    EXPECT_EQ(cache.stats().counter("msg.rendezvous"), 1u);
+    EXPECT_EQ(snap.stats.counter("msg.send_requests"), 1u);
 }
 
 TEST(MessageCache, StateNamesRender)

@@ -4,18 +4,20 @@
  * across topologies and fault injection; a
  * corrupt-checkpoint fuzzer (bit flips and truncations must be
  * detected and refused with a structured error, never a crash or a
- * silently-wrong resume); the MEMS page-image codec; the sweep
- * completion journal (replay identity, torn tails, fingerprint
- * mismatch); and in-memory snapshot/restore identity under flat and
+ * silently-wrong resume); the MEMS page-image and CACH message-cache
+ * codecs; the sweep completion journal (replay identity, torn tails,
+ * fingerprint mismatch); and in-memory snapshot/restore identity under flat and
  * hierarchical topologies.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "msg/message_cache.hpp"
 #include "mp/system.hpp"
 #include "occam/compiler.hpp"
 #include "pe/memory.hpp"
@@ -592,6 +594,155 @@ TEST(PageImageCodecTest, RejectsMalformedRecords)
     EXPECT_FALSE(dec.ok());
     EXPECT_NE(dec.error().find("memory image is"), std::string::npos)
         << dec.error();
+}
+
+// ---------------------------------------------------------------------------
+// CACH message-cache codec. The decoder reads the channel records into
+// a table keyed by channel id: whatever order the file holds them in,
+// the table (and its re-encoding) is ascending, and a repeated channel
+// keeps its first record.
+// ---------------------------------------------------------------------------
+
+struct CacheRecord
+{
+    isa::Word channel;
+    std::uint64_t nextSeq;
+    std::vector<msg::Token> values;
+    std::vector<msg::CtxId> sendWaiters;
+    std::vector<msg::CtxId> recvWaiters;
+};
+
+std::vector<std::uint8_t>
+cachePayload(const std::vector<CacheRecord> &records)
+{
+    persist::Encoder enc;
+    enc.u64(records.size());
+    for (const CacheRecord &r : records) {
+        enc.u32(r.channel);
+        enc.u64(r.nextSeq);
+        enc.u64(r.values.size());
+        for (const msg::Token &t : r.values) {
+            enc.u32(t.value);
+            enc.u8(t.sum);
+            enc.u64(t.seq);
+            enc.u32(t.pristine);
+            enc.i64(t.sentAt);
+        }
+        enc.u64(r.sendWaiters.size());
+        for (msg::CtxId ctx : r.sendWaiters)
+            enc.u32(ctx);
+        enc.u64(r.recvWaiters.size());
+        for (msg::CtxId ctx : r.recvWaiters)
+            enc.u32(ctx);
+    }
+    persist::encodeStatSet(enc, StatSet{});
+    return enc.take();
+}
+
+msg::MessageCache::Snapshot
+decodeCache(const std::vector<std::uint8_t> &payload)
+{
+    persist::Decoder dec(payload);
+    msg::MessageCache::Snapshot snap = persist::decodeCacheSnapshot(dec);
+    EXPECT_TRUE(dec.ok()) << dec.error();
+    EXPECT_TRUE(dec.atEnd());
+    return snap;
+}
+
+msg::Token
+token(isa::Word value, std::uint64_t seq)
+{
+    return {value, msg::tokenChecksum(value), seq, value,
+            static_cast<trace::Cycle>(100 + seq)};
+}
+
+const std::vector<CacheRecord> kShuffledCache = {
+    {10, 3, {token(7, 1), token(8, 2)}, {4}, {}},
+    {4, 1, {}, {}, {5, 6}},
+    {7, 0, {}, {}, {}},
+};
+
+TEST(CacheCodecTest, OutOfOrderRecordsDecodeAscending)
+{
+    msg::MessageCache::Snapshot snap = decodeCache(cachePayload(kShuffledCache));
+    std::vector<isa::Word> channels;
+    for (const auto &[channel, entry] : snap.entries)
+        channels.push_back(channel);
+    EXPECT_EQ(channels, (std::vector<isa::Word>{4, 7, 10}));
+
+    const auto &[last_channel, last] = *std::prev(snap.entries.end());
+    EXPECT_EQ(last_channel, 10u);
+    EXPECT_EQ(last.nextSeq, 3u);
+    ASSERT_EQ(last.values.size(), 2u);
+    EXPECT_EQ(last.values.front().value, 7u);
+    EXPECT_EQ(last.values.back().seq, 2u);
+    EXPECT_EQ(last.values.back().sentAt, 102);
+    ASSERT_EQ(last.sendWaiters.size(), 1u);
+    EXPECT_EQ(last.sendWaiters.front(), 4u);
+    const auto &[first_channel, first] = *snap.entries.begin();
+    EXPECT_EQ(first_channel, 4u);
+    ASSERT_EQ(first.recvWaiters.size(), 2u);
+    EXPECT_EQ(first.recvWaiters.front(), 5u);
+    EXPECT_EQ(first.recvWaiters.back(), 6u);
+}
+
+TEST(CacheCodecTest, ReencodingWritesAscendingOrder)
+{
+    persist::Encoder enc;
+    persist::encodeCacheSnapshot(enc, decodeCache(cachePayload(kShuffledCache)));
+    EXPECT_EQ(enc.bytes(), cachePayload({kShuffledCache[1], kShuffledCache[2],
+                                         kShuffledCache[0]}));
+}
+
+TEST(CacheCodecTest, RepeatedChannelKeepsItsFirstRecord)
+{
+    msg::MessageCache::Snapshot snap =
+        decodeCache(cachePayload({{9, 1, {token(11, 0)}, {}, {}},
+                                  {3, 0, {}, {}, {}},
+                                  {9, 2, {}, {}, {7}},
+                                  {9, 5, {}, {8}, {}}}));
+    ASSERT_EQ(snap.entries.size(), 2u);
+    const auto &[channel, entry] = *std::prev(snap.entries.end());
+    EXPECT_EQ(channel, 9u);
+    EXPECT_EQ(entry.nextSeq, 1u);
+    ASSERT_EQ(entry.values.size(), 1u);
+    EXPECT_EQ(entry.values.front().value, 11u);
+    EXPECT_TRUE(entry.sendWaiters.empty());
+    EXPECT_TRUE(entry.recvWaiters.empty());
+}
+
+TEST(CacheCodecTest, RejectsMalformedLengths)
+{
+    std::vector<std::uint8_t> good = cachePayload(kShuffledCache);
+    // Overwrite the little-endian u64 at @p at with @p n.
+    auto withLength = [&](std::size_t at, std::uint64_t n) {
+        std::vector<std::uint8_t> bad = good;
+        for (int i = 0; i < 8; ++i)
+            bad[at + static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(n >> (8 * i));
+        return bad;
+    };
+    auto expectError = [](const std::vector<std::uint8_t> &payload,
+                          const std::string &message) {
+        persist::Decoder dec(payload);
+        persist::decodeCacheSnapshot(dec);
+        EXPECT_FALSE(dec.ok());
+        EXPECT_EQ(dec.error(), message);
+    };
+    // Each count is checked against the bytes left before it is read.
+    // The entry count, then the first record's token count (after the
+    // channel u32 and nextSeq u64) and send-waiter count (after two
+    // 25-byte tokens).
+    expectError(withLength(0, 1u << 20),
+                "length 1048576 exceeds limit " + std::to_string(good.size()));
+    expectError(withLength(20, 1000),
+                "length 1000 exceeds limit " +
+                    std::to_string(good.size() - 20));
+    expectError(withLength(28 + 2 * 25, 1u << 20),
+                "length 1048576 exceeds limit " +
+                    std::to_string(good.size() - 78));
+    std::vector<std::uint8_t> truncated(good.begin(), good.begin() + 30);
+    expectError(truncated, "need 4 bytes at offset 28, have 2");
 }
 
 // ---------------------------------------------------------------------------
