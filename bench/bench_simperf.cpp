@@ -1,8 +1,9 @@
 /**
  * @file
  * Host-side performance of the simulator itself (google-benchmark):
- * instruction throughput of a single PE, whole-system simulation rate,
- * compiler throughput, and the host cost of one checkpoint snapshot.
+ * instruction throughput of a single PE, whole-system simulation rate
+ * (flat and sharded), compiler throughput, and the host cost of one
+ * checkpoint snapshot.
  * Not a thesis experiment - this guards the usability of the
  * reproduction.
  */
@@ -104,6 +105,34 @@ BM_SimCyclesEvent(benchmark::State &state)
 }
 BENCHMARK(BM_SimCyclesEvent)->Arg(1)->Arg(8)->Unit(
     benchmark::kMillisecond);
+
+/**
+ * The sharded kernel's fork path: the binary-recursive fan-out on 64
+ * PEs as 16 rings of 4, where every fork places within a shard and
+ * every ifork looks its output channel up in the channel directory.
+ * Items processed is the simulated cycle count, as above.
+ */
+void
+BM_SimCyclesSharded(benchmark::State &state)
+{
+    occam::CompiledProgram program =
+        occam::compileOccam(programs::binaryFanRecursiveSource());
+    std::int64_t total_cycles = 0;
+    for (auto _ : state) {
+        mp::SystemConfig config;
+        config.numPes = 64;
+        config.setTopology(mp::parseTopology("rings:16x4"));
+        mp::System system(program.object, config);
+        mp::RunResult result = system.run(program.mainLabel);
+        if (!result.completed) {
+            state.SkipWithError("the fan-out did not complete");
+            return;
+        }
+        total_cycles += static_cast<std::int64_t>(result.cycles);
+    }
+    state.SetItemsProcessed(total_cycles);
+}
+BENCHMARK(BM_SimCyclesSharded)->Unit(benchmark::kMillisecond);
 
 /**
  * What a checkpoint costs: System::snapshot() on a machine stopped

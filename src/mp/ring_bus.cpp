@@ -197,7 +197,7 @@ RingBus::occupyRing(int src, int dst, Cycle now)
         Cycle start = std::max(t, free_at);
         Cycle wait = start - t;
         if (wait > 0) {
-            counterSlot(counters_.contentionCycles,
+            stats_.counterRef(counters_.contentionCycles,
                         "bus.contention_cycles") +=
                 static_cast<std::uint64_t>(wait);
             if (bridge)
@@ -242,14 +242,14 @@ RingBus::occupyRing(int src, int dst, Cycle now)
             reserve(partitionFree, dst_ring * parts + i,
                     config_.hopCycles, false);
         hops = exit_hops + backbone + entry_hops;
-        counterSlot(counters_.bridgeTransfers,
+        stats_.counterRef(counters_.bridgeTransfers,
                     "bus.bridge_transfers") += 1;
-        counterSlot(counters_.backboneHops, "bus.backbone_hops") +=
+        stats_.counterRef(counters_.backboneHops, "bus.backbone_hops") +=
             static_cast<std::uint64_t>(backbone);
     }
-    counterSlot(counters_.hopCount, "bus.hop_count") +=
+    stats_.counterRef(counters_.hopCount, "bus.hop_count") +=
         static_cast<std::uint64_t>(hops);
-    counterSlot(counters_.transferCycles, "bus.transfer_cycles") +=
+    stats_.counterRef(counters_.transferCycles, "bus.transfer_cycles") +=
         static_cast<std::uint64_t>(t - now);
     if (tracer_)
         tracer_->busTransfer(now, t, src, dst, hops, bridge_waited);
@@ -263,15 +263,15 @@ RingBus::occupyRing(int src, int dst, Cycle now)
 void
 RingBus::bookDelivered(const Attempt &attempt, Cycle now)
 {
-    counterSlot(counters_.remoteTransfers, "bus.remote_transfers") += 1;
-    histogramSlot(histograms_.hops, "bus.hops")
+    stats_.counterRef(counters_.remoteTransfers, "bus.remote_transfers") += 1;
+    stats_.histogramRef(histograms_.hops, "bus.hops")
         .sample(static_cast<std::uint64_t>(attempt.hops));
-    histogramSlot(histograms_.queueWait, "bus.queue_wait")
+    stats_.histogramRef(histograms_.queueWait, "bus.queue_wait")
         .sample(static_cast<std::uint64_t>(attempt.waited));
-    histogramSlot(histograms_.latency, "bus.latency")
+    stats_.histogramRef(histograms_.latency, "bus.latency")
         .sample(static_cast<std::uint64_t>(attempt.at - now));
     if (config_.numRings > 1)
-        histogramSlot(histograms_.bridgeWait, "bus.bridge_wait")
+        stats_.histogramRef(histograms_.bridgeWait, "bus.bridge_wait")
             .sample(static_cast<std::uint64_t>(attempt.bridgeWaited));
 }
 
@@ -280,7 +280,7 @@ RingBus::transfer(int src, int dst, Cycle now)
 {
     if (src == dst) {
         // Intra-PE transfers stay inside the local message processor.
-        counterSlot(counters_.localTransfers, "bus.local_transfers") += 1;
+        stats_.counterRef(counters_.localTransfers, "bus.local_transfers") += 1;
         return now + config_.messageOverhead;
     }
     Attempt attempt = occupyRing(src, dst, now);

@@ -253,22 +253,6 @@ class RingBus
         Histogram *bridgeWait = nullptr;
     };
 
-    std::uint64_t &
-    counterSlot(std::uint64_t *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.counterRef(name);
-        return *slot;
-    }
-
-    Histogram &
-    histogramSlot(Histogram *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.histogramRef(name);
-        return *slot;
-    }
-
     RingBusConfig config_;
     /** Earliest free cycle per local segment (ring-major order). */
     std::vector<Cycle> partitionFree;

@@ -60,6 +60,22 @@ struct System::PeSlot
     int index = 0;
     /** Per-PE metric prefix ("pe3."), see StatSet::scoped. */
     std::string scope;
+    /** Cached "peN." stat slots, like System::StatHandles. */
+    struct StatHandles
+    {
+        Histogram *readyWait = nullptr;
+        Histogram *residency = nullptr;
+    };
+    StatHandles statHandles;
+
+    /** This PE's "peN.<name>" histogram in @p stats, via @p handle. */
+    Histogram &
+    scopedHistogram(StatSet &stats, Histogram *&handle, const char *name)
+    {
+        if (!handle)
+            handle = &stats.histogramRef(scope + name);
+        return *handle;
+    }
     Cycle clock = 0;
     Cycle busyCycles = 0;
     /** Kernel trap service cycles charged while stepping (breakdown). */
@@ -179,7 +195,7 @@ struct System::Checkpoint
     int rrNext = 0;
     std::vector<int> shardRr;
     std::vector<std::uint64_t> shardCtxLive;
-    std::map<Word, int> channelShard;
+    ChannelDirectory channelShard;
     std::uint64_t liveContexts = 0;
     std::uint64_t switches = 0;
     bool killArmed = false;
@@ -284,8 +300,8 @@ System::allocChannelPair(int pe)
         // the allocating PE's shard. Ifork placement consults it to
         // home children near the consumers of their output channels.
         int shard = shardOfPe(pe);
-        channelShard_[id] = shard;
-        channelShard_[id + 1] = shard;
+        channelShard_.set(id, shard);
+        channelShard_.set(id + 1, shard);
     }
     return id;
 }
@@ -403,6 +419,14 @@ System::placeSharded(int shard)
             best_load = load;
         }
     }
+    auto take = [&] {
+        shardRr_[static_cast<size_t>(shard)] = (best - base + 1) % size;
+        return best;
+    };
+    // The machine-wide minimum is never below 0, so a shard-local load
+    // within the slack wins without scanning every PE.
+    if (best >= 0 && best_load <= kShardSlack)
+        return take();
     std::size_t global_min = 0;
     bool any_live = false;
     for (int pe = 0; pe < config_.numPes; ++pe) {
@@ -415,13 +439,11 @@ System::placeSharded(int shard)
         any_live = true;
     }
     panicIf(!any_live, "context placement: no live PE");
-    if (best >= 0 && best_load <= global_min + kShardSlack) {
-        shardRr_[static_cast<size_t>(shard)] = (best - base + 1) % size;
-        return best;
-    }
+    if (best >= 0 && best_load <= global_min + kShardSlack)
+        return take();
     // Preferred ring is saturated (or entirely fail-stopped): fall
     // back to the global least-loaded policy.
-    stats_.inc("sys.shard_spills");
+    stats_.counterRef(statHandles_.shardSpills, "sys.shard_spills") += 1;
     return placeSurvivor();
 }
 
@@ -472,7 +494,8 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
     ctx.readyAt = shipped.at;
     contexts.push_back(ctx);
     ++liveContexts;
-    stats_.inc("sys.contexts_created");
+    stats_.counterRef(statHandles_.contextsCreated,
+                      "sys.contexts_created") += 1;
     tracer_.ctxCreate(now, ctx.homePe, ctx.id, forkingPe);
     if (numShards() > 1) {
         // Shard bookkeeping: the descriptor ship above IS the explicit
@@ -483,11 +506,16 @@ System::createContext(Word codeAddr, Word inChan, Word outChan,
         int to = shardOfPe(ctx.homePe);
         int preferred = preferredShard >= 0 ? preferredShard : from;
         ++shardCtxLive_[static_cast<size_t>(to)];
-        channelShard_[inChan] = to;
-        stats_.inc(to == preferred ? "sys.shard_local_placements"
-                                   : "sys.shard_remote_placements");
+        channelShard_.set(inChan, to);
+        if (to == preferred)
+            stats_.counterRef(statHandles_.shardLocalPlacements,
+                              "sys.shard_local_placements") += 1;
+        else
+            stats_.counterRef(statHandles_.shardRemotePlacements,
+                              "sys.shard_remote_placements") += 1;
         if (to != from) {
-            stats_.inc("sys.shard_migrations");
+            stats_.counterRef(statHandles_.shardMigrations,
+                              "sys.shard_migrations") += 1;
             tracer_.ctxMigrate(now, ctx.homePe, ctx.id, forkingPe);
         }
     }
@@ -523,6 +551,20 @@ System::wakeContext(CtxId id, Cycle at)
               ctx.id);
 }
 
+void
+System::deliverWake(int pe_idx, CtxId peer_id, Cycle now)
+{
+    if (peer_id == msg::kNoCtx)
+        return;
+    BusDelivery wake =
+        bus.deliver(pe_idx, contexts[peer_id].homePe, now);
+    if (!wake.delivered)
+        return;  // lost wake; watchdog reports the stall
+    wakeContext(peer_id, wake.at);
+    if (wake.duplicated)
+        wakeContext(peer_id, wake.duplicateAt);
+}
+
 HostStatus
 System::hostSend(int pe_idx, Word channel, Word value)
 {
@@ -546,16 +588,7 @@ System::hostSend(int pe_idx, Word channel, Word value)
                   << static_cast<std::int32_t>(value)
                   << (op.completed ? " done" : " blocked") << "\n";
     if (op.completed) {
-        for (CtxId peer_id : op.wakes) {
-            Context &peer = contexts[peer_id];
-            BusDelivery wake =
-                bus.deliver(pe_idx, peer.homePe, slot.clock);
-            if (!wake.delivered)
-                continue;  // lost wake; watchdog reports the stall
-            wakeContext(peer_id, wake.at);
-            if (wake.duplicated)
-                wakeContext(peer_id, wake.duplicateAt);
-        }
+        deliverWake(pe_idx, op.wake, slot.clock);
         if (recoveryOn_)
             slot.appendOp({HostOp::Kind::Send, channel, 0, 0},
                           config_.recovery.maxLogOps);
@@ -609,16 +642,7 @@ System::hostRecv(int pe_idx, Word channel, Word &value)
                 cat("message corruption detected on channel ", channel,
                     " (checksum mismatch at cycle ", slot.clock, ")");
         }
-        for (CtxId peer_id : op.wakes) {
-            Context &peer = contexts[peer_id];
-            BusDelivery notify =
-                bus.deliver(pe_idx, peer.homePe, slot.clock);
-            if (!notify.delivered)
-                continue;  // lost wake; watchdog reports the stall
-            wakeContext(peer_id, notify.at);
-            if (notify.duplicated)
-                wakeContext(peer_id, notify.duplicateAt);
-        }
+        deliverWake(pe_idx, op.wake, slot.clock);
         if (recoveryOn_)
             slot.appendOp({HostOp::Kind::Recv, channel, value, 0},
                           config_.recovery.maxLogOps);
@@ -678,7 +702,7 @@ System::trapService(PeSlot &slot, Word number, Word argument)
         createContext(argument, in, in + 1, slot.index, slot.clock);
         outcome.result = in;
         outcome.kernelCycles = config_.forkCycles;
-        stats_.inc("sys.rforks");
+        stats_.counterRef(statHandles_.rforks, "sys.rforks") += 1;
         return outcome;
       }
       case isa::TrapIfork: {
@@ -688,17 +712,14 @@ System::trapService(PeSlot &slot, Word number, Word argument)
         // consumer (per the directory) rather than the forker's -
         // pipeline stages chase their consumers across rings instead
         // of piling up where they were forked.
-        int preferred = -1;
-        if (numShards() > 1) {
-            auto it = channelShard_.find(self.outChan);
-            if (it != channelShard_.end())
-                preferred = it->second;
-        }
+        int preferred = numShards() > 1
+                            ? channelShard_.find(self.outChan)
+                            : -1;
         createContext(argument, in, self.outChan, slot.index,
                       slot.clock, preferred);
         outcome.result = in;
         outcome.kernelCycles = config_.forkCycles;
-        stats_.inc("sys.iforks");
+        stats_.counterRef(statHandles_.iforks, "sys.iforks") += 1;
         return outcome;
       }
       case isa::TrapGetIn:
@@ -756,11 +777,11 @@ System::dispatch(PeSlot &slot)
     // Ready-queue wait: cycles between the context becoming runnable
     // and the PE actually picking it up (scheduler-induced latency,
     // before any context-load cost is charged).
-    Cycle ready_wait = slot.clock - entry.readyAt;
-    stats_.record("sys.ready_wait",
-                  static_cast<std::uint64_t>(ready_wait));
-    stats_.scoped(slot.scope)
-        .record("ready_wait", static_cast<std::uint64_t>(ready_wait));
+    auto ready_wait = static_cast<std::uint64_t>(slot.clock - entry.readyAt);
+    stats_.histogramRef(statHandles_.readyWait, "sys.ready_wait")
+        .sample(ready_wait);
+    slot.scopedHistogram(stats_, slot.statHandles.readyWait, "ready_wait")
+        .sample(ready_wait);
 
     if (slot.residentBlocked == ctx.id) {
         // The resident context's rendezvous completed: resume in place
@@ -771,7 +792,8 @@ System::dispatch(PeSlot &slot)
         ctx.status = CtxStatus::Running;
         slot.running = ctx.id;
         slot.spanStart = slot.clock;
-        stats_.inc("sys.resident_resumes");
+        stats_.counterRef(statHandles_.residentResumes,
+                          "sys.resident_resumes") += 1;
         tracer_.ctxDispatch(slot.clock, slot.index, ctx.id);
         return true;
     }
@@ -807,10 +829,11 @@ System::recordResidency(PeSlot &slot)
     // before blocking, finishing, or being preempted. Long residencies
     // mean the lazy-switch machinery is paying off; a spray of short
     // ones means the run is rendezvous-bound.
-    Cycle span = slot.clock - slot.spanStart;
-    stats_.record("sys.residency", static_cast<std::uint64_t>(span));
-    stats_.scoped(slot.scope)
-        .record("residency", static_cast<std::uint64_t>(span));
+    auto span = static_cast<std::uint64_t>(slot.clock - slot.spanStart);
+    stats_.histogramRef(statHandles_.residency, "sys.residency")
+        .sample(span);
+    slot.scopedHistogram(stats_, slot.statHandles.residency, "residency")
+        .sample(span);
 }
 
 void
@@ -842,7 +865,7 @@ System::evictResident(PeSlot &slot)
     resident.regs = slot.pe->saveContext();
     slot.residentBlocked = msg::kNoCtx;
     ++switches;
-    stats_.inc("sys.evictions");
+    stats_.counterRef(statHandles_.evictions, "sys.evictions") += 1;
     commitSpan(slot);
 }
 
@@ -886,7 +909,8 @@ System::finishContext(PeSlot &slot)
     --liveContexts;
     if (numShards() > 1)
         --shardCtxLive_[static_cast<size_t>(shardOfPe(ctx.homePe))];
-    stats_.inc("sys.contexts_finished");
+    stats_.counterRef(statHandles_.contextsFinished,
+                      "sys.contexts_finished") += 1;
     commitSpan(slot);
 }
 
@@ -1041,9 +1065,10 @@ System::runLoop(Cycle max_cycles)
         // would discard the unconsumed tail and the span would
         // re-execute those ops live, duplicating their side effects.
         bool replay_in_flight = false;
-        for (auto &slot : slots)
-            if (slot->replaying())
-                replay_in_flight = true;
+        if (recoveryOn_)  // Only recovery journals host ops.
+            for (auto &slot : slots)
+                if (slot->replaying())
+                    replay_in_flight = true;
         if (nextCheckpointAt_ > 0 && best_time >= nextCheckpointAt_ &&
             pendingDeadPe_ < 0 && !replay_in_flight) {
             // Advance the schedule *before* capturing: the snapshot
@@ -1246,8 +1271,9 @@ System::recoverDeadPe(Cycle at)
             if (to != dead_shard) {
                 --shardCtxLive_[static_cast<size_t>(dead_shard)];
                 ++shardCtxLive_[static_cast<size_t>(to)];
-                channelShard_[ctx.inChan] = to;
-                stats_.inc("sys.shard_migrations");
+                channelShard_.set(ctx.inChan, to);
+                stats_.counterRef(statHandles_.shardMigrations,
+                                  "sys.shard_migrations") += 1;
                 tracer_.ctxMigrate(at, target, ctx.id, dead_pe);
             }
         }
@@ -1381,6 +1407,7 @@ System::restore()
     lastProgress_ = cp.lastProgress;
     nextTelemetryAt_ = cp.nextTelemetryAt;
     stats_ = cp.stats;
+    statHandles_ = StatHandles{};
     cache.restore(cp.cache);
     bus.restore(cp.bus);
     tracer_.rewind(cp.trace);
@@ -1395,6 +1422,7 @@ System::restore()
         slot.readyQ = ss.readyQ;
         slot.pe->stats() = ss.peStats;
         slot.pe->resetStatDeltas();
+        slot.statHandles = PeSlot::StatHandles{};
         slot.spanStart = slot.clock;
         slot.running = msg::kNoCtx;
         slot.residentBlocked = msg::kNoCtx;
@@ -1507,10 +1535,10 @@ System::saveCheckpoint(const std::string &path) const
         for (std::uint64_t v : cp.shardCtxLive)
             enc.u64(v);
         enc.u64(cp.channelShard.size());
-        for (const auto &[chan, shard] : cp.channelShard) {
+        cp.channelShard.forEach([&](Word chan, int shard) {
             enc.u32(chan);
             enc.i64(shard);
-        }
+        });
         enc.u64(cp.liveContexts);
         enc.u64(cp.switches);
         enc.u8(cp.killArmed ? 1 : 0);
@@ -1675,11 +1703,12 @@ System::loadCheckpoint(const std::string &path)
         for (std::size_t i = 0; i < nlive && dec.ok(); ++i)
             cp->shardCtxLive.push_back(dec.u64());
         std::size_t nshard = dec.length(dec.remaining());
+        std::vector<std::pair<Word, int>> directory;
         for (std::size_t i = 0; i < nshard && dec.ok(); ++i) {
             Word chan = dec.u32();
             int shard = static_cast<int>(dec.i64());
             if (dec.ok())
-                cp->channelShard[chan] = shard;
+                directory.emplace_back(chan, shard);
         }
         cp->liveContexts = dec.u64();
         cp->switches = dec.u64();
@@ -1714,11 +1743,22 @@ System::loadCheckpoint(const std::string &path)
         if (live != cp->liveContexts)
             return bad("KERN", cat("liveContexts says ", cp->liveContexts,
                                    ", context records say ", live));
-        for (const auto &[chan, shard] : cp->channelShard)
+        // Directory records may come in any order; the last record of
+        // a repeated channel wins, and the lowest bad channel is named.
+        std::stable_sort(directory.begin(), directory.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        for (std::size_t i = 0; i < directory.size(); ++i) {
+            auto [chan, shard] = directory[i];
+            if (i + 1 < directory.size() && directory[i + 1].first == chan)
+                continue;
             if (shard < 0 || shard >= numShards())
                 return bad("KERN", cat("channel ", chan,
                                        " mapped to shard ", shard, " of ",
                                        numShards()));
+            cp->channelShard.set(chan, shard);
+        }
         if (cp->pendingDeadPe >= config_.numPes)
             return bad("KERN", cat("pendingDeadPe ", cp->pendingDeadPe,
                                    " out of range"));

@@ -22,7 +22,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -38,6 +37,7 @@
 #include "pe/memory.hpp"
 #include "pe/pe.hpp"
 #include "persist/io.hpp"
+#include "support/id_map.hpp"
 #include "support/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -184,6 +184,9 @@ struct SystemConfig
  * program/verification digests.
  */
 std::string configFingerprint(const SystemConfig &config);
+
+/** Channel id -> shard, for the sharded kernel's directory. */
+using ChannelDirectory = IdMap<int, -1>;
 
 /** Context lifecycle states (thesis Fig 6.4). */
 enum class CtxStatus
@@ -456,6 +459,11 @@ class System
     void freeQueuePage(Addr page);
     int placeContext(int forkingPe, int preferredShard = -1);
     void wakeContext(CtxId ctx, Cycle at);
+    /**
+     * Ship a rendezvous wake from PE @p pe to context @p peer (kNoCtx:
+     * none) over the bus, and make it ready when the message lands.
+     */
+    void deliverWake(int pe, CtxId peer, Cycle now);
 
     // --- Sharded kernel (hierarchical topologies; see DESIGN.md) ---------
     /** Shards in the kernel = local rings in the topology. */
@@ -594,11 +602,11 @@ class System
     std::vector<int> shardRr_;           ///< Per-shard tie cursors.
     std::vector<std::uint64_t> shardCtxLive_;  ///< Live ctx per shard.
     /**
-     * Channel directory: channel id -> shard of the allocating PE.
-     * Ifork consults it to place a child near the consumer of its
-     * output channel (distance-aware placement).
+     * Channel directory: channel id -> shard of the allocating PE (-1
+     * for none). Ifork consults it to place a child near the consumer
+     * of its output channel (distance-aware placement).
      */
-    std::map<Word, int> channelShard_;
+    ChannelDirectory channelShard_;
     bool booted = false;
     std::uint64_t liveContexts = 0;
     std::uint64_t switches = 0;
@@ -626,6 +634,28 @@ class System
     void emitTelemetry(Cycle best_time);
 
     StatSet stats_;
+    /**
+     * Cached stat slots for the kernel's per-event statistics: fork,
+     * placement, dispatch, park and finish make no string-keyed
+     * StatSet call. Resolved on first use (StatSet::counterRef) and
+     * dropped by restore(), whose assignment rebuilds the stat maps.
+     */
+    struct StatHandles
+    {
+        std::uint64_t *contextsCreated = nullptr;
+        std::uint64_t *contextsFinished = nullptr;
+        std::uint64_t *rforks = nullptr;
+        std::uint64_t *iforks = nullptr;
+        std::uint64_t *residentResumes = nullptr;
+        std::uint64_t *evictions = nullptr;
+        std::uint64_t *shardLocalPlacements = nullptr;
+        std::uint64_t *shardRemotePlacements = nullptr;
+        std::uint64_t *shardMigrations = nullptr;
+        std::uint64_t *shardSpills = nullptr;
+        Histogram *readyWait = nullptr;
+        Histogram *residency = nullptr;
+    };
+    StatHandles statHandles_;
     // The flight recorder must outlive the tracer, whose sink pointer
     // refers to it (members destroy in reverse declaration order).
     obs::FlightRecorder flight_;

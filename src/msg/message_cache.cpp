@@ -8,16 +8,6 @@ namespace qm::msg {
 
 namespace {
 
-/** First entry of @p table whose channel id is not below @p channel. */
-template <typename Table>
-auto
-lowerBound(Table &table, Word channel)
-{
-    return std::lower_bound(
-        table.begin(), table.end(), channel,
-        [](const auto &entry, Word id) { return entry.first < id; });
-}
-
 /** Remove and return the oldest element of a channel FIFO. */
 template <typename T>
 T
@@ -57,14 +47,29 @@ MessageCache::MessageCache(int capacity) : capacity_(capacity)
 ChannelEntry &
 MessageCache::slot(Word channel)
 {
-    if (entries.empty() || entries.back().first < channel)
-        return entries.emplace_back(channel, ChannelEntry{}).second;
-    // The last id is not below @p channel, so the search stops on an
-    // entry: @p channel's own, or the one to insert before.
-    auto it = lowerBound(entries, channel);
-    if (it->first != channel)
-        it = entries.emplace(it, channel, ChannelEntry{});
-    return it->second;
+    std::uint32_t at = index_.find(channel);
+    if (at != kNoEntry)
+        return entries[at].second;
+    index_.set(channel, static_cast<std::uint32_t>(entries.size()));
+    return entries.emplace_back(channel, ChannelEntry{}).second;
+}
+
+void
+MessageCache::restore(const Snapshot &snap)
+{
+    entries = snap.entries;
+    index_.clear();
+    Word top = 0;
+    for (const auto &record : entries)
+        top = std::max(top, record.first);
+    index_.reserve(entries.size(), top);
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        index_.set(entries[i].first, static_cast<std::uint32_t>(i));
+    stats_ = snap.stats;
+    // The assignment rebuilt the stat maps; cached slot pointers into
+    // the old maps are dead.
+    counters_ = CounterHandles{};
+    histograms_ = HistogramHandles{};
 }
 
 ChannelOp
@@ -73,7 +78,7 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
 {
     ChannelEntry &entry = slot(channel);
     ChannelOp op;
-    counterSlot(counters_.sendRequests, "msg.send_requests") += 1;
+    stats_.counterRef(counters_.sendRequests, "msg.send_requests") += 1;
     if (static_cast<int>(entry.values.size()) >= capacity_) {
         entry.sendWaiters.push_back(ctx);
         op.blocked = true;
@@ -82,7 +87,7 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
     std::uint64_t seq = entry.nextSeq++;
     entry.values.push_back(
         {value, tokenChecksum(value), seq, value, now});
-    histogramSlot(histograms_.fifoDepth, "msg.fifo_depth")
+    stats_.histogramRef(histograms_.fifoDepth, "msg.fifo_depth")
         .sample(static_cast<std::uint64_t>(entry.values.size()));
     if (faults_ && faults_->fire(fault::kCacheCorrupt)) {
         // Flip one bit of the slot just written, keeping the send-time
@@ -110,7 +115,7 @@ MessageCache::send(Word channel, CtxId ctx, Word value,
     }
     op.completed = true;
     if (!entry.recvWaiters.empty())
-        op.wakes.push_back(popFront(entry.recvWaiters));
+        op.wake = popFront(entry.recvWaiters);
     return op;
 }
 
@@ -119,7 +124,7 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
 {
     ChannelEntry &entry = slot(channel);
     ChannelOp op;
-    counterSlot(counters_.recvRequests, "msg.recv_requests") += 1;
+    stats_.counterRef(counters_.recvRequests, "msg.recv_requests") += 1;
     if (entry.values.empty()) {
         entry.recvWaiters.push_back(ctx);
         op.blocked = true;
@@ -149,18 +154,18 @@ MessageCache::recv(Word channel, CtxId ctx, trace::Cycle now)
                           static_cast<std::uint64_t>(op.penalty));
         }
     }
-    counterSlot(counters_.rendezvous, "msg.rendezvous") += 1;
+    stats_.counterRef(counters_.rendezvous, "msg.rendezvous") += 1;
     // Send-to-rendezvous latency. The receiver's clock can lag the
     // sender's (PE clocks are only loosely synchronized), so clamp at
     // zero rather than recording a wrapped negative.
-    histogramSlot(histograms_.latency, "msg.latency")
+    stats_.histogramRef(histograms_.latency, "msg.latency")
         .sample(now >= token.sentAt
                     ? static_cast<std::uint64_t>(now - token.sentAt)
                     : 0);
     if (tracer_)
         tracer_->rendezvous(now, channel, ctx, *op.value);
     if (!entry.sendWaiters.empty())
-        op.wakes.push_back(popFront(entry.sendWaiters));
+        op.wake = popFront(entry.sendWaiters);
     return op;
 }
 
@@ -180,9 +185,8 @@ MessageCache::state(Word channel) const
 const ChannelEntry *
 MessageCache::entry(Word channel) const
 {
-    auto it = lowerBound(entries, channel);
-    return it == entries.end() || it->first != channel ? nullptr
-                                                       : &it->second;
+    std::uint32_t at = index_.find(channel);
+    return at == kNoEntry ? nullptr : &entries[at].second;
 }
 
 std::size_t

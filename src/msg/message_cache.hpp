@@ -32,6 +32,7 @@
 
 #include "fault/fault.hpp"
 #include "isa/fields.hpp"
+#include "support/id_map.hpp"
 #include "support/stats.hpp"
 #include "trace/trace.hpp"
 
@@ -65,8 +66,11 @@ struct ChannelOp
     /** Protocol cycles to charge (NACK + pristine-copy resend). */
     fault::Cycle penalty = 0;
     std::optional<Word> value;    ///< Received value (receive only).
-    /** Contexts to make ready (woken peers / queued waiters). */
-    std::vector<CtxId> wakes;
+    /**
+     * Context to make ready, or kNoCtx: the oldest peer parked on the
+     * other side. One request retires at most one peer.
+     */
+    CtxId wake = kNoCtx;
 };
 
 /**
@@ -105,9 +109,9 @@ struct ChannelEntry
 };
 
 /**
- * The channel table: one entry per channel ever touched, sorted by
- * channel id. Entries are never erased, and the kernel hands out ids
- * in ascending order, so a new entry is almost always appended.
+ * The channel table: one entry per channel ever touched, in the order
+ * the channels were first touched. Entries are never erased, so a new
+ * entry is always appended and an entry never moves.
  */
 using ChannelTable = std::vector<std::pair<Word, ChannelEntry>>;
 
@@ -181,7 +185,8 @@ class MessageCache
 
     /**
      * Protocol state for System checkpoints. Copying the table is one
-     * vector copy: only non-empty FIFOs allocate.
+     * vector copy: only non-empty FIFOs allocate. The id index is not
+     * part of it; restore() rebuilds it from the table.
      */
     struct Snapshot
     {
@@ -195,19 +200,10 @@ class MessageCache
         return {entries, stats_};
     }
 
-    void
-    restore(const Snapshot &snap)
-    {
-        entries = snap.entries;
-        stats_ = snap.stats;
-        // The assignment rebuilt the stat maps; cached slot pointers
-        // into the old maps are dead.
-        counters_ = CounterHandles{};
-        histograms_ = HistogramHandles{};
-    }
+    void restore(const Snapshot &snap);
 
   private:
-    /** The entry for @p channel, inserted in id order if new. */
+    /** The entry for @p channel, appended to the table if new. */
     ChannelEntry &slot(Word channel);
 
     bool recoveryOn() const
@@ -232,24 +228,11 @@ class MessageCache
         Histogram *latency = nullptr;
     };
 
-    std::uint64_t &
-    counterSlot(std::uint64_t *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.counterRef(name);
-        return *slot;
-    }
-
-    Histogram &
-    histogramSlot(Histogram *&slot, const char *name)
-    {
-        if (!slot)
-            slot = &stats_.histogramRef(name);
-        return *slot;
-    }
-
     int capacity_;
     ChannelTable entries;
+    /** Channel id -> position of its entry in the table. */
+    static constexpr std::uint32_t kNoEntry = 0xFFFFFFFFu;
+    IdMap<std::uint32_t, kNoEntry> index_;
     StatSet stats_;
     CounterHandles counters_;
     HistogramHandles histograms_;

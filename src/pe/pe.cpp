@@ -102,7 +102,7 @@ ProcessingElement::rollOut()
                               window_[static_cast<size_t>(phys)]);
             presence_[static_cast<size_t>(phys)] = false;
             cycles += timing_.rollOutCyclesPerReg;
-            stats_.inc("pe.rollout_regs");
+            ++deltas_.rolloutRegs;
         }
     }
     return cycles;
@@ -476,6 +476,7 @@ ProcessingElement::flushStats()
     flush("pe.traps", deltas_.traps);
     flush("pe.window_hits", deltas_.windowHits);
     flush("pe.window_misses", deltas_.windowMisses);
+    flush("pe.rollout_regs", deltas_.rolloutRegs);
     if (deltas_.trapService.count() > 0) {
         stats_.histogramRef("pe.trap_service")
             .merge(deltas_.trapService);

@@ -226,7 +226,7 @@ class ProcessingElement
     StatSet &stats() { return stats_; }
 
   private:
-    /** Plain-counter tallies accumulated by step(). */
+    /** Plain-counter tallies accumulated by step() and rollOut(). */
     struct StatDeltas
     {
         std::uint64_t instructions = 0;
@@ -240,6 +240,7 @@ class ProcessingElement
         std::uint64_t traps = 0;
         std::uint64_t windowHits = 0;
         std::uint64_t windowMisses = 0;
+        std::uint64_t rolloutRegs = 0;  ///< Registers written back.
         Histogram trapService;
     };
 

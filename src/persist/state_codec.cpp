@@ -173,8 +173,17 @@ decodeTraceState(Decoder &dec)
 void
 encodeCacheSnapshot(Encoder &enc, const msg::MessageCache::Snapshot &snap)
 {
-    enc.u64(snap.entries.size());
-    for (const auto &[channel, entry] : snap.entries) {
+    // The table is in first-touch order; records go out by ascending
+    // channel id.
+    std::vector<const msg::ChannelTable::value_type *> byId;
+    byId.reserve(snap.entries.size());
+    for (const auto &record : snap.entries)
+        byId.push_back(&record);
+    std::sort(byId.begin(), byId.end(),
+              [](const auto *a, const auto *b) { return a->first < b->first; });
+    enc.u64(byId.size());
+    for (const auto *record : byId) {
+        const auto &[channel, entry] = *record;
         enc.u32(channel);
         enc.u64(entry.nextSeq);
         enc.u64(entry.values.size());
@@ -223,9 +232,9 @@ decodeCacheSnapshot(Decoder &dec)
         if (dec.ok())
             snap.entries.emplace_back(channel, std::move(entry));
     }
-    // The table is sorted by channel id. A writer emits ascending ids,
-    // but a file may hold them in any order: sort them, and keep the
-    // first record of a repeated channel.
+    // A writer emits ascending ids, but a file may hold them in any
+    // order: sort them, and keep the first record of a repeated
+    // channel.
     auto byChannel = [](const auto &a, const auto &b) {
         return a.first < b.first;
     };

@@ -209,6 +209,30 @@ class StatSet
         return histograms_[name];
     }
 
+    /**
+     * counterRef() through a handle the emit site keeps: @p slot is
+     * resolved on first use - so a stat a run never emits still
+     * creates no entry - and reused after, one string lookup per run
+     * instead of one per event. The owner must null its handles
+     * whenever this StatSet is assigned over (checkpoint restore).
+     */
+    std::uint64_t &
+    counterRef(std::uint64_t *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &counters_[name];
+        return *slot;
+    }
+
+    /** Histogram analogue of the cached counterRef. */
+    Histogram &
+    histogramRef(Histogram *&slot, const char *name)
+    {
+        if (!slot)
+            slot = &histograms_[name];
+        return *slot;
+    }
+
     std::uint64_t counter(const std::string &name) const;
     double scalar(const std::string &name) const;
     const Distribution &distribution(const std::string &name) const;

@@ -39,7 +39,7 @@ TEST(MessageCache, SendFirstDepositsAndCompletes)
     EXPECT_TRUE(r1.completed);
     ASSERT_TRUE(r1.value.has_value());
     EXPECT_EQ(*r1.value, 42u);
-    EXPECT_TRUE(r1.wakes.empty());  // the sender never parked
+    EXPECT_EQ(r1.wake, kNoCtx);  // the sender never parked
     EXPECT_EQ(cache.state(5), ChannelState::Idle);
 }
 
@@ -52,8 +52,7 @@ TEST(MessageCache, RecvFirstParksThenWakes)
 
     ChannelOp s1 = cache.send(9, kSender, 77);
     EXPECT_TRUE(s1.completed);
-    ASSERT_EQ(s1.wakes.size(), 1u);
-    EXPECT_EQ(s1.wakes[0], kReceiver);
+    EXPECT_EQ(s1.wake, kReceiver);
     EXPECT_EQ(cache.state(9), ChannelState::Full);
 
     // The woken receiver retries and takes the value.
@@ -87,8 +86,7 @@ TEST(MessageCache, SendBlocksAtCapacity)
     // Draining one value wakes the parked sender to retry.
     ChannelOp r = cache.recv(5, kReceiver);
     EXPECT_EQ(*r.value, 1u);
-    ASSERT_EQ(r.wakes.size(), 1u);
-    EXPECT_EQ(r.wakes[0], kThird);
+    EXPECT_EQ(r.wake, kThird);
     EXPECT_TRUE(cache.send(5, kThird, 3).completed);
 }
 
@@ -117,12 +115,10 @@ TEST(MessageCache, MultipleParkedReceiversWakeOnePerDeposit)
     EXPECT_TRUE(cache.recv(5, kThird).blocked);
 
     ChannelOp s1 = cache.send(5, kSender, 9);
-    ASSERT_EQ(s1.wakes.size(), 1u);
-    EXPECT_EQ(s1.wakes[0], kReceiver);  // first-come, first-served
+    EXPECT_EQ(s1.wake, kReceiver);  // first-come, first-served
 
     ChannelOp s2 = cache.send(5, kSender, 10);
-    ASSERT_EQ(s2.wakes.size(), 1u);
-    EXPECT_EQ(s2.wakes[0], kThird);
+    EXPECT_EQ(s2.wake, kThird);
 }
 
 TEST(MessageCache, WokenReceiverRacesSafely)
@@ -141,8 +137,7 @@ TEST(MessageCache, WokenReceiverRacesSafely)
     EXPECT_TRUE(retry.blocked);
     // Next deposit wakes it again.
     ChannelOp s2 = cache.send(5, kSender, 2);
-    ASSERT_EQ(s2.wakes.size(), 1u);
-    EXPECT_EQ(s2.wakes[0], kReceiver);
+    EXPECT_EQ(s2.wake, kReceiver);
 }
 
 /**
@@ -212,7 +207,7 @@ TEST(MessageCache, FifoOrderHoldsAcrossFillDrainCycles)
             ChannelOp r = cache.recv(3, kReceiver);
             ASSERT_TRUE(r.completed);
             EXPECT_EQ(*r.value, next_recv++);
-            ASSERT_EQ(r.wakes.size(), i == 0 ? 1u : 0u);
+            ASSERT_EQ(r.wake, i == 0 ? kThird : kNoCtx);
         }
         held -= drain;
         ASSERT_EQ(cache.entry(3)->values.size(), held);
@@ -233,9 +228,8 @@ TEST(MessageCache, FifoOrderHoldsAcrossFillDrainCycles)
         for (int i = 0; i < 1 + round % 3; ++i)
             EXPECT_TRUE(cache.recv(3, next_park++).blocked);
         ChannelOp s = cache.send(3, kSender, 0);
-        ASSERT_EQ(s.wakes.size(), 1u);
-        EXPECT_EQ(s.wakes[0], next_wake++);
-        EXPECT_TRUE(cache.recv(3, s.wakes[0]).completed);
+        ASSERT_EQ(s.wake, next_wake++);
+        EXPECT_TRUE(cache.recv(3, s.wake).completed);
     }
     EXPECT_EQ(cache.entry(3)->recvWaiters.size(),
               static_cast<std::size_t>(next_park - next_wake));
@@ -301,12 +295,10 @@ TEST(MessageCache, RestoreReturnsToTheSnapshot)
     // The restored tokens drain in order and wake the restored waiter.
     ChannelOp r = cache.recv(6, kReceiver);
     EXPECT_EQ(*r.value, 60u);
-    ASSERT_EQ(r.wakes.size(), 1u);
-    EXPECT_EQ(r.wakes[0], kThird);
+    EXPECT_EQ(r.wake, kThird);
     EXPECT_EQ(*cache.recv(6, kReceiver).value, 61u);
     ChannelOp s = cache.send(8, kSender, 81);
-    ASSERT_EQ(s.wakes.size(), 1u);
-    EXPECT_EQ(s.wakes[0], kReceiver);
+    EXPECT_EQ(s.wake, kReceiver);
     EXPECT_EQ(cache.entry(8)->values.front().seq, 0u);
 }
 

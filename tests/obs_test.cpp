@@ -8,6 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -39,10 +42,20 @@ makeEvent(trace::EventKind kind, std::int64_t at, int pe = 0,
     return event;
 }
 
+/**
+ * A temp file private to the running test. ctest runs every test as its
+ * own process, several at once, so a shared fixed name would let one
+ * test overwrite or delete another's inputs.
+ */
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "obs_test_" + name;
+    const auto *test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string owner = std::string(test->test_suite_name()) + "." +
+                        test->name() + "." + std::to_string(getpid());
+    std::replace(owner.begin(), owner.end(), '/', '_');
+    return ::testing::TempDir() + "obs_test_" + owner + "_" + name;
 }
 
 void

@@ -745,6 +745,106 @@ TEST(CacheCodecTest, RejectsMalformedLengths)
     expectError(truncated, "need 4 bytes at offset 28, have 2");
 }
 
+/**
+ * The same traffic on five channels, first touched in @p order. Every
+ * channel ends in a different state: 1 has a parked receiver, 3 two
+ * tokens in flight, 7 a completed rendezvous, 9 a full FIFO and a
+ * parked sender, and the far id one token in flight.
+ */
+msg::MessageCache
+touchInOrder(const std::vector<isa::Word> &order)
+{
+    msg::MessageCache cache(2);
+    for (isa::Word channel : order) {
+        switch (channel) {
+          case 1:
+            cache.recv(channel, 20);
+            break;
+          case 3:
+            cache.send(channel, 30, 31);
+            cache.send(channel, 30, 32);
+            break;
+          case 7:
+            cache.send(channel, 70, 71);
+            cache.recv(channel, 72);
+            break;
+          case 9:
+            cache.send(channel, 90, 91);
+            cache.send(channel, 90, 92);
+            cache.send(channel, 93, 94);
+            break;
+          default:
+            cache.send(channel, 40, 41);
+            break;
+        }
+    }
+    return cache;
+}
+
+TEST(CacheCodecTest, FirstTouchOrderDoesNotShowInLookupsOrBytes)
+{
+    // The table keeps entries in first-touch order behind an id index,
+    // so neither lookups nor the checkpoint bytes may depend on it. The
+    // id near 2^32 lies far beyond the index's flat part.
+    constexpr isa::Word kFar = 0xFFFFFFF0u;
+    msg::MessageCache shuffled = touchInOrder({9, 3, kFar, 7, 1});
+    msg::MessageCache ascending = touchInOrder({1, 3, 7, 9, kFar});
+    for (const msg::MessageCache *cache : {&shuffled, &ascending}) {
+        EXPECT_EQ(cache->state(1), msg::ChannelState::RecvWait);
+        EXPECT_EQ(cache->state(3), msg::ChannelState::Full);
+        EXPECT_EQ(cache->state(7), msg::ChannelState::Idle);
+        EXPECT_EQ(cache->state(9), msg::ChannelState::Full);
+        EXPECT_EQ(cache->state(kFar), msg::ChannelState::Full);
+        EXPECT_EQ(cache->pendingChannels(), 4u);
+        EXPECT_EQ(cache->entry(2), nullptr);
+        EXPECT_EQ(cache->entry(kFar + 1), nullptr);
+        ASSERT_NE(cache->entry(9), nullptr);
+        EXPECT_EQ(cache->entry(9)->values.size(), 2u);
+        ASSERT_EQ(cache->entry(9)->sendWaiters.size(), 1u);
+        EXPECT_EQ(cache->entry(9)->sendWaiters.front(), 93u);
+        ASSERT_NE(cache->entry(7), nullptr);
+        EXPECT_EQ(cache->entry(7)->nextSeq, 1u);
+        ASSERT_NE(cache->entry(kFar), nullptr);
+        EXPECT_EQ(cache->entry(kFar)->values.front().value, 41u);
+        ASSERT_NE(cache->entry(1), nullptr);
+        EXPECT_EQ(cache->entry(1)->recvWaiters.front(), 20u);
+    }
+    persist::Encoder shuffled_bytes, ascending_bytes;
+    persist::encodeCacheSnapshot(shuffled_bytes, shuffled.snapshot());
+    persist::encodeCacheSnapshot(ascending_bytes, ascending.snapshot());
+    EXPECT_EQ(shuffled_bytes.bytes(), ascending_bytes.bytes());
+
+    // restore() rebuilds the index from the table.
+    msg::MessageCache restored(2);
+    restored.restore(shuffled.snapshot());
+    EXPECT_EQ(restored.pendingChannels(), 4u);
+    msg::ChannelOp op = restored.recv(kFar, 50);
+    ASSERT_TRUE(op.completed);
+    EXPECT_EQ(*op.value, 41u);
+    op = restored.recv(3, 50);
+    ASSERT_TRUE(op.completed);
+    EXPECT_EQ(*op.value, 31u);
+}
+
+TEST(CacheCodecTest, CraftedFarChannelIdLoadsWithoutAnIdSizedIndex)
+{
+    // A CACH record for channel 0xFFFFFFFE: an index sized by the id
+    // would need 16 GB. It must load into the overflow and work.
+    constexpr isa::Word kFar = 0xFFFFFFFEu;
+    msg::MessageCache::Snapshot snap = decodeCache(
+        cachePayload({{kFar, 1, {token(7, 0)}, {}, {}}, {4, 0, {}, {}, {}}}));
+    ASSERT_EQ(snap.entries.size(), 2u);
+    msg::MessageCache cache(2);
+    cache.restore(snap);
+    EXPECT_EQ(cache.state(kFar), msg::ChannelState::Full);
+    EXPECT_EQ(cache.state(4), msg::ChannelState::Idle);
+    msg::ChannelOp op = cache.recv(kFar, 9);
+    ASSERT_TRUE(op.completed);
+    EXPECT_EQ(*op.value, 7u);
+    EXPECT_TRUE(cache.send(kFar - 1, 9, 1).completed);
+    EXPECT_EQ(cache.state(kFar - 1), msg::ChannelState::Full);
+}
+
 // ---------------------------------------------------------------------------
 // Sweep journal.
 // ---------------------------------------------------------------------------
@@ -990,6 +1090,124 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<RestoreCase> &info) {
         return info.param.name;
     });
+
+// ---------------------------------------------------------------------------
+// Kernel tables: the channel directory and the cached stat slots.
+// ---------------------------------------------------------------------------
+
+mp::SystemConfig
+shardedConfig()
+{
+    mp::SystemConfig config = baseConfig(8);
+    config.setTopology(mp::parseTopology("rings:4x2"));
+    return config;
+}
+
+/** @p path's KERN section with its last directory key set to @p key. */
+void
+rewriteLastDirectoryKey(const std::string &path, isa::Word key,
+                        std::int64_t shard)
+{
+    std::vector<std::uint8_t> image = readBytes(path);
+    std::vector<persist::Section> sections;
+    ASSERT_TRUE(
+        persist::parseContainer(image, "QMCKPT01", 1, sections).ok());
+    for (persist::Section &section : sections) {
+        if (section.tag != "KERN")
+            continue;
+        // The directory's (u32 channel, i64 shard) records come last
+        // but for liveContexts, switches (u64 each), killArmed (u8)
+        // and four i64 fields.
+        std::vector<std::uint8_t> &bytes = section.payload;
+        std::size_t at = bytes.size() - (8 + 8 + 1 + 4 * 8) - 12;
+        for (int i = 0; i < 4; ++i)
+            bytes[at + static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(key >> (8 * i));
+        for (int i = 0; i < 8; ++i)
+            bytes[at + 4 + static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(
+                    static_cast<std::uint64_t>(shard) >> (8 * i));
+    }
+    ASSERT_TRUE(persist::writeFileAtomic(
+                    path, persist::buildContainer("QMCKPT01", 1, sections))
+                    .ok());
+}
+
+TEST(KernelTablesTest, CraftedDirectoryKeyLoadsWithoutAnIdSizedIndex)
+{
+    // Directory key 0xFFFFFFFE with a valid shard loads into the
+    // directory's overflow and saves back to the same bytes; with a
+    // shard out of range it is refused with the directory's message.
+    std::string path = tempPath("crafted_directory.qmc");
+    std::string resaved = tempPath("crafted_directory_resaved.qmc");
+    const occam::CompiledProgram &program = pipelineProgram();
+    runSaving(shardedConfig(), path, 2);
+    rewriteLastDirectoryKey(path, 0xFFFFFFFEu, 1);
+    {
+        mp::System system(program.object, shardedConfig());
+        persist::Status st = system.loadCheckpoint(path);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        st = system.saveCheckpoint(resaved);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        EXPECT_EQ(readBytes(path), readBytes(resaved));
+        mp::RunResult result = system.resume();
+        EXPECT_TRUE(result.completed) << result.failureReason;
+    }
+    rewriteLastDirectoryKey(path, 0xFFFFFFFEu, 99);
+    {
+        mp::System system(program.object, shardedConfig());
+        persist::Status st = system.loadCheckpoint(path);
+        EXPECT_FALSE(st.ok());
+        EXPECT_EQ(st.message,
+                  "section KERN: channel 4294967294 mapped to shard 99 of 4");
+    }
+    std::remove(path.c_str());
+    std::remove(resaved.c_str());
+}
+
+TEST(KernelTablesTest, StatHandlesDoNotOutliveRestoreOrLoad)
+{
+    // The kernel, the message cache and the ring bus cache pointers
+    // into their stat maps, which restore() and loadCheckpoint() assign
+    // over. A pointer kept past either would write into a freed or
+    // reused map node: the resumed run's statistics would differ from
+    // the uninterrupted run's, or ASan would report the use after free.
+    std::string path = tempPath("stat_handles.qmc");
+    const occam::CompiledProgram &program = pipelineProgram();
+    std::string want;
+    {
+        mp::System system(program.object, shardedConfig());
+        int seen = 0;
+        system.setCheckpointSink([&](mp::System &s) {
+            if (++seen == 2)
+                ASSERT_TRUE(s.saveCheckpoint(path).ok());
+        });
+        mp::RunResult result = system.run(program.mainLabel);
+        ASSERT_TRUE(result.completed) << result.failureReason;
+        ASSERT_GE(seen, 3);
+        want = system.statsSnapshot().render();
+    }
+    ASSERT_NE(want.find("sys.shard_local_placements"), std::string::npos);
+    {
+        // In memory: finish, roll back to the last snapshot, resume.
+        mp::System system(program.object, shardedConfig());
+        ASSERT_TRUE(system.run(program.mainLabel).completed);
+        system.restore();
+        mp::RunResult result = system.resume();
+        ASSERT_TRUE(result.completed) << result.failureReason;
+        EXPECT_EQ(system.statsSnapshot().render(), want);
+    }
+    {
+        // Durable: load the second snapshot into a fresh System.
+        mp::System system(program.object, shardedConfig());
+        persist::Status st = system.loadCheckpoint(path);
+        ASSERT_TRUE(st.ok()) << st.toString();
+        mp::RunResult result = system.resume();
+        ASSERT_TRUE(result.completed) << result.failureReason;
+        EXPECT_EQ(system.statsSnapshot().render(), want);
+    }
+    std::remove(path.c_str());
+}
 
 // ---------------------------------------------------------------------------
 // persist primitives.

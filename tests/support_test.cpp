@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the support library (diagnostics, stats, tables, RNG,
- * JSON writer, CLI parsing).
+ * Unit tests for the support library (diagnostics, stats, id maps,
+ * tables, RNG, JSON writer, CLI parsing).
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 
 #include "support/cli.hpp"
 #include "support/diagnostics.hpp"
+#include "support/id_map.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
 #include "support/rng.hpp"
@@ -430,6 +431,38 @@ TEST(Rng, RangeStaysInBounds)
         EXPECT_GE(v, -5);
         EXPECT_LE(v, 5);
     }
+}
+
+TEST(IdMap, FarIdsOverflowAndMoveInWhenTheFlatPartGrows)
+{
+    IdMap<int, -1> map;
+    EXPECT_EQ(map.find(0), -1);
+    EXPECT_EQ(map.find(0xFFFFFFFFu), -1);
+    // Past the flat part's span bound: these go to the overflow.
+    map.set(0xFFFFFFFEu, 7);
+    map.set(4000, 4);
+    map.set(4000, 5);
+    EXPECT_EQ(map.size(), 2u);
+    EXPECT_EQ(map.find(4000), 5);
+    EXPECT_EQ(map.find(0xFFFFFFFEu), 7);
+    // Dense ids grow the flat part past 4000, which moves in.
+    for (IdMap<int, -1>::Id id = 2; id < 4100; id += 2)
+        map.set(id, static_cast<int>(id % 3));
+    EXPECT_EQ(map.find(4000), 4000 % 3);
+    EXPECT_EQ(map.find(4001), -1);
+    EXPECT_EQ(map.find(0xFFFFFFFEu), 7);
+    EXPECT_EQ(map.size(), 2049u + 1u);
+
+    std::vector<IdMap<int, -1>::Id> ids;
+    map.forEach([&](IdMap<int, -1>::Id id, int) { ids.push_back(id); });
+    EXPECT_EQ(ids.size(), map.size());
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    EXPECT_EQ(ids.back(), 0xFFFFFFFEu);
+
+    map.clear();
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.find(2), -1);
+    EXPECT_EQ(map.find(0xFFFFFFFEu), -1);
 }
 
 } // namespace
